@@ -9,6 +9,7 @@
 
 #include "core/spatial_mapper.hpp"
 #include "runtime/concurrent_manager.hpp"
+#include "runtime/fleet.hpp"
 #include "runtime/runtime_manager.hpp"
 #include "runtime/scenario.hpp"
 #include "test_helpers.hpp"
@@ -538,6 +539,50 @@ TEST(ScenarioDriver, DrivesConcurrentManagerInPumpMode) {
   EXPECT_TRUE(stats.oracle_ok);
   EXPECT_EQ(stats.arrivals, schedule.slots);
   EXPECT_GT(stats.switches, 0u);
+}
+
+TEST(ScenarioDriver, EngineAndFleetOfOneReplayIdentically) {
+  // Differential test: without priority classes the pump-mode engine and
+  // a one-platform fleet (dispatcher inline, background defrag off) must
+  // produce the same wave log on every seeded mode-churn schedule.
+  const auto platform = scenario_platform();
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    ScheduleParams params;
+    params.waves = 16;
+    params.high_priority_fraction = 0.0;
+    const Schedule schedule = make_mode_churn_schedule(params, seed);
+
+    RuntimeManager serial(platform, {.mapper = paper_mapper()});
+    SerialTarget serial_target(serial);
+    const ScenarioStats serial_run =
+        ScenarioDriver(serial_target, schedule).run();
+
+    ConcurrentOptions pump;
+    pump.workers = 0;
+    ConcurrentRuntimeManager engine(platform, {.mapper = paper_mapper()},
+                                    pump);
+    ConcurrentTarget engine_target(engine);
+    const ScenarioStats engine_run =
+        ScenarioDriver(engine_target, schedule).run();
+
+    FleetOptions fleet_options;
+    fleet_options.platforms = 1;
+    fleet_options.workers = 0;
+    fleet_options.background_defrag.enabled = false;
+    fleet_options.manager.mapper = paper_mapper();
+    FleetManager fleet(platform, fleet_options);
+    FleetTarget fleet_target(fleet);
+    const ScenarioStats fleet_run =
+        ScenarioDriver(fleet_target, schedule).run();
+
+    EXPECT_TRUE(engine_run.oracle_ok) << "seed " << seed;
+    EXPECT_TRUE(fleet_run.oracle_ok) << "seed " << seed;
+    EXPECT_GT(engine_run.admitted, 0u) << "seed " << seed;
+    EXPECT_TRUE(outcomes_identical(serial_run.wave_log, engine_run.wave_log))
+        << "seed " << seed;
+    EXPECT_TRUE(outcomes_identical(engine_run.wave_log, fleet_run.wave_log))
+        << "seed " << seed;
+  }
 }
 
 // --------------------------------------------- 8-thread mode-churn (TSan) --
