@@ -27,7 +27,7 @@
 #include "core/feasibility.hpp"
 #include "core/implementation_selection.hpp"
 #include "core/spatial_mapper.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "util/clock.hpp"
 #include "verify/engine.hpp"
@@ -180,8 +180,9 @@ int main(int argc, char** argv) {
     auto churn = [&](bool cached) {
       core::MapperConfig cfg = c.config;
       cfg.cache_verification = cached;
-      runtime::RuntimeManager manager(
-          c.platform, {.mapper = std::make_shared<core::SpatialMapper>(cfg)});
+      runtime::ConcurrentRuntimeManager manager(
+          c.platform, {.mapper = std::make_shared<core::SpatialMapper>(cfg)},
+          {.workers = 0});
       const auto start = std::chrono::steady_clock::now();
       for (std::uint32_t wave = 0; wave < waves; ++wave) {
         const auto outcome = manager.admit(c.app);

@@ -2,13 +2,14 @@
 // A design-time allocation must reserve worst-case resources for every
 // application that might run; a run-time admission manager allocates
 // against the actual residual state when each application starts. This
-// bench replays arrival/departure scenarios through the RuntimeManager,
+// bench replays arrival/departure scenarios through the admission engine
+// (ConcurrentRuntimeManager; workers = 0 is its serial mode),
 // compares admissions and energy, reports the admission statistics the
 // manager collects, and proves that releases restore the resource state.
 //
 // The burst section measures the concurrent admission path: the same
-// 64-application arrival burst is pushed through the serial RuntimeManager
-// and through the ConcurrentRuntimeManager's worker pool, reporting
+// 64-application arrival burst is pushed through the engine's serial mode
+// and through its worker pool, reporting
 // throughput and admission-latency percentiles, and verifying that the
 // concurrent bookkeeping is exact (serial replay + full-release restore).
 // Results are also emitted as BENCH_x4.json for the CI perf trail.
@@ -20,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,7 +30,6 @@
 #include "core/spatial_mapper.hpp"
 #include "io/table.hpp"
 #include "runtime/concurrent_manager.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "util/clock.hpp"
 #include "util/strings.hpp"
@@ -111,16 +112,18 @@ void fill_percentiles(BurstFigures& figures,
   figures.conflicts = stats.conflicts;
 }
 
-/// Pushes the burst through the serial FIFO manager, one admit at a time.
+/// Pushes the burst through the engine's serial mode (workers = 0): the
+/// bench thread queues every arrival, then pumps them one at a time.
 BurstFigures run_serial_burst(
     const arch::Platform& platform,
     const std::vector<std::shared_ptr<const kpn::Application>>& apps) {
-  runtime::RuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>()});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>()},
+      {.workers = 0});
   BurstFigures figures;
   const auto start = std::chrono::steady_clock::now();
-  for (const auto& app : apps) manager.submit(app);
-  manager.drain();
+  for (const auto& app : apps) (void)manager.submit(app);
+  manager.pump();
   figures.wall_ms = wall_ms_since(start);
   figures.throughput_per_s =
       static_cast<double>(apps.size()) / (figures.wall_ms / 1000.0);
@@ -128,7 +131,7 @@ BurstFigures run_serial_burst(
 
   for (const AppId id : manager.running_ids()) manager.release(id);
   figures.restore_ok =
-      manager.state().approx_equals(core::ResourceState(platform));
+      manager.state_snapshot().approx_equals(core::ResourceState(platform));
   figures.verify = manager.verification_stats();
   figures.stats_json = manager.stats_report().to_json();
   return figures;
@@ -273,14 +276,15 @@ int main(int argc, char** argv) {
     }
 
     const auto mapper = std::make_shared<core::SpatialMapper>();
-    runtime::RuntimeManager manager(platform, {.mapper = mapper});
+    runtime::ConcurrentRuntimeManager manager(platform, {.mapper = mapper},
+                                              {.workers = 0});
     DesignTimeAllocator design(platform, *mapper);
     std::uint32_t design_admits = 0;
     for (const auto& app : apps) {
       manager.admit(app);
       if (design.try_admit(app)) ++design_admits;
     }
-    const runtime::AdmissionStats& stats = manager.stats();
+    const runtime::AdmissionStats stats = manager.stats();
 
     table.add_row(
         {"burst-" + std::to_string(scenario), std::to_string(offered),
@@ -306,34 +310,46 @@ int main(int argc, char** argv) {
     pp.height = 3;
     pp.type_counts = {{"ARM", 3}, {"DSP", 3}};
     const auto platform = workload::make_synthetic_platform(rng, pp, "p");
-    runtime::RuntimeManager manager(
+    runtime::ConcurrentRuntimeManager manager(
         platform,
         {.mapper = std::make_shared<core::SpatialMapper>(),
-         .policy = std::make_shared<runtime::RetryAdmission>(4)});
+         .policy = std::make_shared<runtime::RetryAdmission>(4)},
+        {.workers = 0});
 
     workload::SyntheticAppParams ap;
     ap.process_count = 3;
     ap.with_fixtures = false;
     std::vector<AppId> running;
+    std::vector<std::future<runtime::AdmitOutcome>> pending;
     for (std::uint32_t wave = 0; wave < 8; ++wave) {
       const auto app =
           workload::make_synthetic_app(rng, ap, "w" + std::to_string(wave));
-      manager.submit(std::make_shared<kpn::Application>(app));
+      pending.push_back(
+          manager.submit(std::make_shared<kpn::Application>(app)));
+      manager.pump();
       // Every second wave the oldest application finishes; its release
-      // wakes any parked arrivals.
+      // wakes any parked arrivals, which the next pump retries.
       if (wave % 2 == 1 && !running.empty()) {
-        manager.submit_release(running.front());
+        manager.release(running.front());
         running.erase(running.begin());
+        manager.pump();
       }
-      for (const auto& outcome : manager.drain()) {
+      for (auto it = pending.begin(); it != pending.end();) {
+        if (it->wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready) {
+          ++it;  // parked
+          continue;
+        }
+        const runtime::AdmitOutcome outcome = it->get();
         if (outcome.status == runtime::AdmitStatus::Admitted) {
           running.push_back(outcome.app_id);
         }
+        it = pending.erase(it);
       }
     }
     manager.reject_waiting();
 
-    const runtime::AdmissionStats& stats = manager.stats();
+    const runtime::AdmissionStats stats = manager.stats();
     std::printf(
         "Churn scenario (policy %s): offered %llu, admitted %llu, rejected "
         "%llu, retries %llu, releases %llu;\n  %zu still running, %zu idle "
@@ -344,7 +360,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.rejected),
         static_cast<unsigned long long>(stats.retries),
         static_cast<unsigned long long>(stats.releases),
-        manager.running_count(), manager.state().idle_tile_count());
+        manager.running_count(), manager.state_snapshot().idle_tile_count());
     std::printf(
         "Admission latency (mapper wall clock): mean %.0f us, p50 %.0f us, "
         "p90 %.0f us, p99 %.0f us over %zu requests\n\n",
@@ -357,24 +373,27 @@ int main(int argc, char** argv) {
   // ResourceState to its exact pre-admit snapshot.
   {
     const auto platform = workload::make_paper_platform();
-    runtime::RuntimeManager manager(
-        platform, {.mapper = std::make_shared<core::SpatialMapper>()});
+    runtime::ConcurrentRuntimeManager manager(
+        platform, {.mapper = std::make_shared<core::SpatialMapper>()},
+        {.workers = 0});
     const auto app = workload::make_hiperlan2_receiver();
 
-    const core::ResourceState before = manager.state().snapshot();
+    const core::ResourceState before = manager.state_snapshot();
     const auto admitted = manager.admit(app);
     const bool ok = admitted.status == runtime::AdmitStatus::Admitted;
-    const bool changed = !manager.state().approx_equals(before);
+    const bool changed = !manager.state_snapshot().approx_equals(before);
     if (ok) manager.release(admitted.app_id);
     std::printf(
         "Restore proof (HIPERLAN/2 on the paper platform): admitted=%s, "
         "state changed on admit=%s, state restored on release=%s\n\n",
         ok ? "yes" : "no", changed ? "yes" : "NO (bug)",
-        ok && manager.state().approx_equals(before) ? "yes" : "NO (bug)");
+        ok && manager.state_snapshot().approx_equals(before) ? "yes"
+                                                             : "NO (bug)");
   }
 
-  // Arrival burst, serial vs. concurrent: the same burst through the FIFO
-  // manager and through a 4-worker pool fed by 4 client threads. The
+  // Arrival burst, serial vs. concurrent: the same burst through the
+  // engine's serial mode and through a 4-worker pool fed by 4 client
+  // threads. The
   // concurrent path must win on throughput and lose nothing on
   // bookkeeping exactness.
   {

@@ -4,7 +4,8 @@
 // many partially-used tiles and the free capacity splinters, until
 // requests are rejected although the summed capacity would hold them.
 // This bench replays the *same* seeded arrival/departure schedule through
-// the serial RuntimeManager under the three DefragPolicy settings (off /
+// the admission engine in its serial mode (ConcurrentRuntimeManager,
+// workers = 0) under the three DefragPolicy settings (off /
 // on-release-threshold / on-reject) and compares reject rate, admission
 // latency and fragmentation. The churn mix is diversified with
 // workload::hiperlan2_mode_variant (the seven demapping modes as distinct
@@ -28,7 +29,7 @@
 #include "core/fragmentation.hpp"
 #include "core/spatial_mapper.hpp"
 #include "io/table.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -178,9 +179,10 @@ ChurnFigures run_churn(const arch::Platform& platform,
                        const std::vector<Arrival>& schedule,
                        std::uint32_t waves, runtime::DefragOptions defrag,
                        std::string label) {
-  runtime::RuntimeManager manager(
+  runtime::ConcurrentRuntimeManager manager(
       platform,
-      {.mapper = std::make_shared<core::SpatialMapper>(), .defrag = defrag});
+      {.mapper = std::make_shared<core::SpatialMapper>(), .defrag = defrag},
+      {.workers = 0});
 
   ChurnFigures figures;
   figures.label = std::move(label);
@@ -197,7 +199,7 @@ ChurnFigures run_churn(const arch::Platform& platform,
     // what punches the holes arrivals then have to fit into.
     for (auto it = live.begin(); it != live.end();) {
       if (it->release_wave <= wave) {
-        manager.submit_release(it->id);
+        manager.release(it->id);
         it = live.erase(it);
       } else {
         ++it;
@@ -205,19 +207,17 @@ ChurnFigures run_churn(const arch::Platform& platform,
     }
 
     while (next < schedule.size() && schedule[next].wave == wave) {
-      manager.submit(schedule[next].app);
-      ++next;
-      // Interleave so each admission sees the fragmented state of the
-      // moment, and releases wake the defrag trigger between waves.
-      for (const auto& outcome : manager.drain()) {
-        if (outcome.status == runtime::AdmitStatus::Admitted) {
-          live.push_back(
-              {outcome.app_id,
-               schedule[next - 1].wave + schedule[next - 1].lifetime_waves});
-        }
+      // One admission at a time, so each sees the fragmented state of the
+      // moment; the releases above already ran the defrag trigger.
+      auto future = manager.submit(schedule[next].app);
+      manager.pump();
+      const runtime::AdmitOutcome outcome = future.get();
+      if (outcome.status == runtime::AdmitStatus::Admitted) {
+        live.push_back({outcome.app_id, schedule[next].wave +
+                                            schedule[next].lifetime_waves});
       }
+      ++next;
     }
-    manager.drain();
 
     // Oracle: after every wave — and therefore after every defrag pass —
     // the live state must equal a serial replay of the surviving
@@ -227,12 +227,13 @@ ChurnFigures run_churn(const arch::Platform& platform,
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!manager.state().approx_equals(replayed)) figures.oracle_ok = false;
+    const core::ResourceState live_state = manager.state_snapshot();
+    if (!live_state.approx_equals(replayed)) figures.oracle_ok = false;
 
-    frag_sum += core::measure_fragmentation(manager.state()).score();
+    frag_sum += core::measure_fragmentation(live_state).score();
   }
 
-  const runtime::AdmissionStats& stats = manager.stats();
+  const runtime::AdmissionStats stats = manager.stats();
   figures.offered = stats.offered;
   figures.admitted = stats.admitted;
   figures.rejected = stats.rejected;

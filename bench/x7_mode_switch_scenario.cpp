@@ -4,15 +4,15 @@
 // *change mode* while the platform is live (the HIPERLAN/2 receiver has
 // seven demapping modes). This bench generates one seeded mode-churn +
 // priority-mix schedule (runtime::make_mode_churn_schedule) and replays
-// it three ways:
+// it three ways through the admission engine (ConcurrentRuntimeManager):
 //   - in-place:   switch_mode() pins the name-matched processes, re-plans
 //                 only the delta through the shared step-4 verification
-//                 cache, and rolls back to the old mode on misfit;
+//                 cache, and rolls back to the old mode on misfit (serial
+//                 mode, workers = 0);
 //   - naive:      release + readmit — the baseline; a failed readmission
 //                 loses the application (nothing to roll back to);
-//   - concurrent: the in-place path through the ConcurrentRuntimeManager
-//                 (inline pump mode), proving the driver runs either
-//                 manager.
+//   - concurrent: the in-place path with a 2-worker pool, so arrivals of
+//                 one wave race through optimistic validate/commit.
 // Compared: losses/rejects, switch latency p50/p95 (the in-place pinned
 // replan is cheaper and hits the verification cache), rollback counts,
 // preemption activity. The serial-replay oracle must hold after every
@@ -93,31 +93,16 @@ RunFigures summarize(std::string label, const runtime::ScenarioStats& s,
   return f;
 }
 
-RunFigures run_serial(const arch::Platform& platform,
-                      const runtime::Schedule& schedule, bool naive,
-                      std::string label) {
-  runtime::RuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>()});
-  runtime::SerialTarget target(manager);
+RunFigures run(const arch::Platform& platform,
+               const runtime::Schedule& schedule, bool naive,
+               std::uint32_t workers, std::string label) {
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>()},
+      {.workers = workers});
+  runtime::ConcurrentTarget target(manager);
   runtime::ScenarioOptions options;
   options.naive_switch = naive;
   runtime::ScenarioDriver driver(target, schedule, options);
-  const runtime::ScenarioStats stats = driver.run();
-  RunFigures figures = summarize(std::move(label), stats, manager.stats(),
-                                 manager.verification_stats().hit_rate());
-  figures.stats_json = manager.stats_report().to_json();
-  return figures;
-}
-
-RunFigures run_concurrent(const arch::Platform& platform,
-                          const runtime::Schedule& schedule,
-                          std::string label) {
-  runtime::ConcurrentOptions options;
-  options.workers = 0;  // inline pump: deterministic, still the full path
-  runtime::ConcurrentRuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>()}, options);
-  runtime::ConcurrentTarget target(manager);
-  runtime::ScenarioDriver driver(target, schedule);
   const runtime::ScenarioStats stats = driver.run();
   RunFigures figures = summarize(std::move(label), stats, manager.stats(),
                                  manager.verification_stats().hit_rate());
@@ -191,11 +176,11 @@ int main(int argc, char** argv) {
       runtime::make_mode_churn_schedule(params, /*seed=*/20080310);
 
   const RunFigures inplace =
-      run_serial(platform, schedule, /*naive=*/false, "in-place");
+      run(platform, schedule, /*naive=*/false, /*workers=*/0, "in-place");
   const RunFigures naive =
-      run_serial(platform, schedule, /*naive=*/true, "naive");
-  const RunFigures concurrent =
-      run_concurrent(platform, schedule, "concurrent in-place");
+      run(platform, schedule, /*naive=*/true, /*workers=*/0, "naive");
+  const RunFigures concurrent = run(platform, schedule, /*naive=*/false,
+                                    /*workers=*/2, "concurrent in-place");
 
   io::TablePrinter table({"Switch path", "Admitted", "Rejected", "Switches",
                           "In-place", "Rolled back", "Lost", "sw p50 us",

@@ -10,7 +10,8 @@
 //
 // This bench replays the same seeded churn schedule — arrivals drawn from
 // a fixed pool of 8 skeletons with 3-8 wave lifetimes, X6-style — through
-// the serial RuntimeManager with the shape library off and on, and
+// the admission engine in its serial mode (ConcurrentRuntimeManager,
+// workers = 0) with the shape library off and on, and
 // compares steady-state (warm-library) admission latency, hit rate and
 // anchor-probe cost. The first quarter of the waves is the cold warm-up
 // phase; figures are reported per phase.
@@ -35,7 +36,7 @@
 
 #include "core/spatial_mapper.hpp"
 #include "io/table.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "shapes/library.hpp"
 #include "util/rng.hpp"
@@ -159,9 +160,10 @@ ShapeFigures run_churn(
     std::uint32_t warmup_waves, bool with_shapes, std::string label) {
   auto shapes =
       with_shapes ? std::make_shared<shapes::ShapeLibrary>(platform) : nullptr;
-  runtime::RuntimeManager manager(
+  runtime::ConcurrentRuntimeManager manager(
       platform,
-      {.mapper = std::make_shared<core::SpatialMapper>(), .shapes = shapes});
+      {.mapper = std::make_shared<core::SpatialMapper>(), .shapes = shapes},
+      {.workers = 0});
 
   ShapeFigures figures;
   figures.label = std::move(label);
@@ -185,7 +187,7 @@ ShapeFigures run_churn(
     }
     for (auto it = live.begin(); it != live.end();) {
       if (it->release_wave <= wave) {
-        manager.submit_release(it->id);
+        manager.release(it->id);
         it = live.erase(it);
       } else {
         ++it;
@@ -194,20 +196,18 @@ ShapeFigures run_churn(
 
     while (next < schedule.size() && schedule[next].wave == wave) {
       const Arrival& arrival = schedule[next];
-      manager.submit(pool[arrival.pool_index]);
+      auto future = manager.submit(pool[arrival.pool_index]);
+      manager.pump();
       ++next;
-      for (const auto& outcome : manager.drain()) {
-        if (outcome.status != runtime::AdmitStatus::Admitted) continue;
-        live.push_back({outcome.app_id,
-                        arrival.wave + arrival.lifetime_waves});
-        (wave < warmup_waves ? cold_lat : warm_lat)
-            .push_back(outcome.mapping_us);
-        if (wave >= warmup_waves && !outcome.shape_hit) {
-          warm_miss_lat.push_back(outcome.mapping_us);
-        }
+      const runtime::AdmitOutcome outcome = future.get();
+      if (outcome.status != runtime::AdmitStatus::Admitted) continue;
+      live.push_back({outcome.app_id, arrival.wave + arrival.lifetime_waves});
+      (wave < warmup_waves ? cold_lat : warm_lat)
+          .push_back(outcome.mapping_us);
+      if (wave >= warmup_waves && !outcome.shape_hit) {
+        warm_miss_lat.push_back(outcome.mapping_us);
       }
     }
-    manager.drain();
 
     // Per-wave serial-replay oracle: the live bookkeeping equals a replay
     // of the surviving admissions — shape-path commits included — onto a
@@ -217,7 +217,9 @@ ShapeFigures run_churn(
       core::commit_mapping(replayed, *manager.app_of(id),
                            manager.mapping_of(id));
     }
-    if (!manager.state().approx_equals(replayed)) figures.oracle_ok = false;
+    if (!manager.state_snapshot().approx_equals(replayed)) {
+      figures.oracle_ok = false;
+    }
   }
 
   const runtime::AdmissionStats stats = manager.stats();

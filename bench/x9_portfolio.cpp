@@ -12,9 +12,9 @@
 // from a fixed pool of mixed ARM/MONTIUM skeletons with bounded wave
 // lifetimes — through every single registry strategy (exhaustive is
 // excluded: branch-and-bound over churn-sized instances), then through
-// the portfolio on both managers: the serial RuntimeManager races the
-// strategies sequentially, the ConcurrentRuntimeManager fans them out
-// across its 4-worker pool with cooperative cancellation.
+// the portfolio twice: in the engine's serial mode (workers = 0) the
+// strategies race in order on the admitting thread, with a 4-worker pool
+// they fan out across the workers with cooperative cancellation.
 //
 // Exactness oracle (per wave, every configuration): replaying the
 // surviving admissions onto a fresh ResourceState must reproduce the
@@ -39,7 +39,6 @@
 #include "core/portfolio.hpp"
 #include "io/table.hpp"
 #include "runtime/concurrent_manager.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -170,66 +169,10 @@ void finish_figures(PortfolioFigures& figures,
   figures.fallbacks = stats.portfolio_fallbacks;
 }
 
-/// One churn replay through the serial manager (single strategy when
-/// options.portfolio is empty, sequential race otherwise).
-PortfolioFigures run_serial(
-    const arch::Platform& platform,
-    const std::vector<std::shared_ptr<const kpn::Application>>& pool,
-    const std::vector<Arrival>& schedule, std::uint32_t waves,
-    runtime::ManagerOptions options, std::string label) {
-  runtime::RuntimeManager manager(platform, std::move(options));
-
-  PortfolioFigures figures;
-  figures.label = std::move(label);
-  struct Live {
-    AppId id;
-    std::uint32_t release_wave = 0;
-  };
-  std::vector<Live> live;
-  std::vector<double> latencies;
-  double energy_sum = 0.0;
-
-  std::size_t next = 0;
-  for (std::uint32_t wave = 0; wave < waves; ++wave) {
-    for (auto it = live.begin(); it != live.end();) {
-      if (it->release_wave <= wave) {
-        manager.submit_release(it->id);
-        it = live.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    while (next < schedule.size() && schedule[next].wave == wave) {
-      const Arrival& arrival = schedule[next];
-      manager.submit(pool[arrival.pool_index]);
-      ++next;
-      for (const auto& outcome : manager.drain()) {
-        if (outcome.status != runtime::AdmitStatus::Admitted) continue;
-        live.push_back({outcome.app_id,
-                        arrival.wave + arrival.lifetime_waves});
-        latencies.push_back(outcome.mapping_us);
-        energy_sum += outcome.mapping.energy_nj_per_symbol;
-      }
-    }
-    manager.drain();
-
-    // Per-wave serial-replay oracle.
-    core::ResourceState replayed(platform);
-    for (const AppId id : manager.running_ids()) {
-      core::commit_mapping(replayed, *manager.app_of(id),
-                           manager.mapping_of(id));
-    }
-    if (!manager.state().approx_equals(replayed)) figures.oracle_ok = false;
-  }
-
-  finish_figures(figures, manager.stats(), latencies, energy_sum);
-  figures.stats_json = manager.stats_report().to_json();
-  return figures;
-}
-
-/// The same churn through the concurrent manager: admissions submitted
-/// from the bench thread, the race fanned out across the worker pool.
-PortfolioFigures run_concurrent(
+/// One churn replay through the admission engine: a single strategy when
+/// options.portfolio is empty, a race otherwise — run in order on the
+/// bench thread with workers = 0, fanned out across the pool otherwise.
+PortfolioFigures run_churn(
     const arch::Platform& platform,
     const std::vector<std::shared_ptr<const kpn::Application>>& pool,
     const std::vector<Arrival>& schedule, std::uint32_t waves,
@@ -390,21 +333,22 @@ int main(int argc, char** argv) {
   std::vector<PortfolioFigures> singles;
   for (const std::string& name : strategies) {
     std::shared_ptr<const core::Mapper> mapper = registry->create(name);
-    singles.push_back(run_serial(platform, pool, schedule, waves,
-                                 {.mapper = std::move(mapper)}, name));
+    singles.push_back(run_churn(platform, pool, schedule, waves,
+                                {.mapper = std::move(mapper)},
+                                /*workers=*/0, name));
   }
 
   core::PortfolioOptions portfolio;
   portfolio.strategies = strategies;
   portfolio.selection = core::PortfolioSelection::BestEnergy;
   const PortfolioFigures serial =
-      run_serial(platform, pool, schedule, waves,
-                 {.portfolio = portfolio, .registry = registry},
-                 "portfolio-serial");
+      run_churn(platform, pool, schedule, waves,
+                {.portfolio = portfolio, .registry = registry},
+                /*workers=*/0, "portfolio-serial");
   const PortfolioFigures concurrent =
-      run_concurrent(platform, pool, schedule, waves,
-                     {.portfolio = portfolio, .registry = registry},
-                     /*workers=*/4, "portfolio-concurrent");
+      run_churn(platform, pool, schedule, waves,
+                {.portfolio = portfolio, .registry = registry},
+                /*workers=*/4, "portfolio-concurrent");
 
   io::TablePrinter table({"Config", "Offered", "Admitted", "Rejected",
                           "Reject%", "Med us", "Energy nJ", "Oracle"});

@@ -1,9 +1,9 @@
 // Mode switches and priority classes at run time: the paper's HIPERLAN/2
 // receiver changes its demapping mode while it runs (Section 2). Instead
 // of release + readmit — which loses the stream when the readmission
-// fails — RuntimeManager::switch_mode() pins the processes both modes
-// share to their current tiles, re-plans only the delta, and rolls back
-// to the old mode when the new one does not fit. A high-priority arrival
+// fails — ConcurrentRuntimeManager::switch_mode() pins the processes both
+// modes share to their current tiles, re-plans only the delta, and rolls
+// back to the old mode when the new one does not fit. A high-priority arrival
 // that finds the platform full may evict lower-priority preemptible
 // applications (they are re-parked, not dropped).
 
@@ -11,7 +11,7 @@
 #include <memory>
 
 #include "core/spatial_mapper.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "workload/hiperlan2.hpp"
 
 namespace {
@@ -66,8 +66,9 @@ int main() {
   using namespace rtsm;
 
   const arch::Platform platform = workload::make_paper_platform();
-  runtime::RuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>()});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>()},
+      {.workers = 0});
 
   std::printf("== the receiver sweeps its demapping modes in place =======\n");
   // The receiver is the protected stream: mid priority, not preemptible.
@@ -92,7 +93,7 @@ int main() {
         mode.name.data(), status_name(out.status), out.pinned, out.moved,
         out.migration_cost_us, out.switch_us);
   }
-  const auto& stats = manager.stats();
+  const runtime::AdmissionStats stats = manager.stats();
   std::printf(
       "switches: %llu (%llu in place, %llu replanned, %llu rolled back), "
       "p95 switch latency %.0f us\n\n",
@@ -108,8 +109,9 @@ int main() {
   const TileTypeId arm = pool.add_tile_type("ARM", 200'000'000);
   pool.add_tile("P0", arm, 0, 0, 64 * 1024, /*process_slots=*/2);
   pool.add_tile("P1", arm, 1, 0, 64 * 1024, /*process_slots=*/2);
-  runtime::RuntimeManager pool_manager(
-      pool, {.mapper = std::make_shared<core::SpatialMapper>()});
+  runtime::ConcurrentRuntimeManager pool_manager(
+      pool, {.mapper = std::make_shared<core::SpatialMapper>()},
+      {.workers = 0});
 
   const auto f1 = pool_manager.admit(filler("background-1"));
   const auto f2 = pool_manager.admit(filler("background-2"));
@@ -129,7 +131,7 @@ int main() {
       pool_manager.waiting_count());
 
   pool_manager.release(urgent.app_id);
-  pool_manager.drain();
+  pool_manager.pump();
   std::printf(
       "after the urgent app leaves, %llu parked victim(s) were readmitted; "
       "running=%zu\n",

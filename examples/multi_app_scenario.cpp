@@ -1,28 +1,45 @@
 // Run-time resource management scenario: applications start and stop on a
 // shared MPSoC. Each admission is mapped against the *actual* residual
 // resources — the core motivation for moving spatial mapping from design
-// time to run time (paper, Section 1). The RuntimeManager owns the resource
-// state; its retry policy parks an application that does not fit yet and
-// admits it automatically when capacity is released.
+// time to run time (paper, Section 1). The admission engine
+// (ConcurrentRuntimeManager, here in its serial mode: workers = 0) owns the
+// resource state; its retry policy parks an application that does not fit
+// yet and admits it automatically when capacity is released.
 
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 
 #include "core/spatial_mapper.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "workload/synthetic.hpp"
 
 namespace {
 
 using namespace rtsm;
 
-void show(const runtime::RuntimeManager& manager) {
+void show(const runtime::ConcurrentRuntimeManager& manager) {
+  const core::ResourceState state = manager.state_snapshot();
   std::printf("  running=%zu, waiting=%zu, idle tiles=%zu, total energy="
               "%.1f nJ/symbol, NoC reserved=%.1f Mtokens/s\n\n",
               manager.running_count(), manager.waiting_count(),
-              manager.state().idle_tile_count(),
-              manager.total_energy_nj_per_symbol(),
-              manager.state().links().total_reserved() / 1e6);
+              state.idle_tile_count(), manager.total_energy_nj_per_symbol(),
+              state.links().total_reserved() / 1e6);
+}
+
+const char* status_name(runtime::AdmitStatus status) {
+  switch (status) {
+    case runtime::AdmitStatus::Admitted:
+      return "admitted";
+    case runtime::AdmitStatus::Waiting:
+      return "parked until resources free up";
+    case runtime::AdmitStatus::DeadlineMiss:
+      return "deadline miss";
+    case runtime::AdmitStatus::Rejected:
+      break;
+  }
+  return "rejected";
 }
 
 }  // namespace
@@ -41,10 +58,11 @@ int main() {
   const arch::Platform platform =
       workload::make_synthetic_platform(rng, pp, "shared 4x4 MPSoC");
 
-  runtime::RuntimeManager manager(
+  runtime::ConcurrentRuntimeManager manager(
       platform,
       {.mapper = std::make_shared<core::SpatialMapper>(),
-       .policy = std::make_shared<runtime::RetryAdmission>(/*max_attempts=*/4)});
+       .policy = std::make_shared<runtime::RetryAdmission>(/*max_attempts=*/4)},
+      {.workers = 0});
 
   std::printf("== t0: platform boots idle =================================\n");
   show(manager);
@@ -78,28 +96,27 @@ int main() {
   workload::SyntheticAppParams big;
   big.process_count = 14;
   big.tile_types = {"ARM", "DSP"};
-  const auto big_app = workload::make_synthetic_app(rng, big, "bulk");
-  const auto big_run = manager.admit(big_app);
-  const char* big_status = "rejected";
-  switch (big_run.status) {
-    case runtime::AdmitStatus::Admitted: big_status = "admitted"; break;
-    case runtime::AdmitStatus::Waiting:
-      big_status = "parked until resources free up";
-      break;
-    case runtime::AdmitStatus::DeadlineMiss:
-      big_status = "deadline miss";
-      break;
-    case runtime::AdmitStatus::Rejected: break;
-  }
+  // submit() hands back a future; a parked request's future resolves after
+  // a later release readmits it.
+  std::future<runtime::AdmitOutcome> big_run = manager.submit(
+      std::make_shared<kpn::Application>(
+          workload::make_synthetic_app(rng, big, "bulk")));
+  manager.pump();
+  const bool parked =
+      big_run.wait_for(std::chrono::seconds(0)) != std::future_status::ready;
+  const runtime::AdmitStatus big_status =
+      parked ? runtime::AdmitStatus::Waiting : big_run.get().status;
   std::printf("  admitted=%s (status: %s)\n",
-              big_run.status == runtime::AdmitStatus::Admitted ? "yes" : "no",
-              big_status);
+              big_status == runtime::AdmitStatus::Admitted ? "yes" : "no",
+              status_name(big_status));
   show(manager);
 
   std::printf(
       "== t4: video stops; the parked application is re-admitted ====\n");
-  manager.submit_release(video_run.app_id);
-  for (const auto& outcome : manager.drain()) {
+  manager.release(video_run.app_id);
+  manager.pump();
+  if (parked) {
+    const runtime::AdmitOutcome outcome = big_run.get();
     std::printf("  deferred request %llu resolved: admitted=%s, energy=%.1f "
                 "nJ/symbol after %u attempt(s)\n",
                 static_cast<unsigned long long>(outcome.request),
@@ -108,7 +125,7 @@ int main() {
   }
   show(manager);
 
-  const runtime::AdmissionStats& stats = manager.stats();
+  const runtime::AdmissionStats stats = manager.stats();
   std::printf("Admission statistics: offered=%llu admitted=%llu rejected=%llu "
               "retries=%llu releases=%llu; mapping latency p50=%.0f us "
               "p99=%.0f us\n\n",

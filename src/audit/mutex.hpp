@@ -37,7 +37,7 @@ enum class LockRank : int {
   kRouteCache = 70,      ///< noc::RouteCache::mutex_.
 
   // Manager leaf locks — only ever innermost.
-  kManagerStats = 75,    ///< both managers' stats_mutex_.
+  kManagerStats = 75,    ///< ConcurrentRuntimeManager::stats_mutex_.
   kManagerWaiting = 80,  ///< ConcurrentRuntimeManager::waiting_mutex_.
   kQueue = 85,           ///< runtime::BoundedQueue::mutex_.
   kManagerIdle = 90,     ///< ConcurrentRuntimeManager::idle_mutex_.

@@ -29,14 +29,15 @@ enum class PortfolioSelection {
 /// Configuration of portfolio admission: on a shape-library miss, race the
 /// named registry strategies on independent ResourceState snapshots and
 /// commit the winner through the ordinary two-phase validate/commit path.
-/// The serial manager races sequentially under the shared budget; the
-/// concurrent manager fans the strategies out across its worker pool and
-/// cancels the losers cooperatively. An empty strategy list disables the
-/// portfolio (the manager's single primary mapper runs as before).
+/// The manager fans the strategies out across its worker pool (with no
+/// pool, workers = 0, the admitting thread runs them in order) under the
+/// shared budget and cancels the losers cooperatively. An empty strategy
+/// list disables the portfolio (the manager's single primary mapper runs
+/// as before).
 struct PortfolioOptions {
   /// MapperRegistry names to race, in priority order: the first strategy is
-  /// raced first (serial) / owned by the admitting worker (concurrent), and
-  /// ties in BestEnergy selection resolve to the earliest name.
+  /// owned by the admitting thread (run first without a pool), and ties in
+  /// BestEnergy selection resolve to the earliest name.
   std::vector<std::string> strategies;
 
   PortfolioSelection selection = PortfolioSelection::FirstFeasible;

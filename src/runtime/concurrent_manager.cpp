@@ -81,9 +81,17 @@ std::size_t ConcurrentRuntimeManager::shard_of(TileId tile) const {
 std::future<AdmitOutcome> ConcurrentRuntimeManager::submit(
     std::shared_ptr<const kpn::Application> app, double deadline_us,
     RequestClass cls) {
+  RequestId id = 0;
+  return enqueue(std::move(app), deadline_us, cls, id);
+}
+
+std::future<AdmitOutcome> ConcurrentRuntimeManager::enqueue(
+    std::shared_ptr<const kpn::Application> app, double deadline_us,
+    RequestClass cls, RequestId& id) {
   require(app != nullptr, "admission request without an application");
   Request request;
   request.id = next_request_.fetch_add(1);
+  id = request.id;
   request.priority = priority_->priority(*app, deadline_us);
   request.cls = cls;
   request.app = std::move(app);
@@ -97,22 +105,19 @@ std::future<AdmitOutcome> ConcurrentRuntimeManager::submit(
   in_flight_.fetch_add(1);
   Job job;
   job.request = std::move(request);
-  if (options_.workers == 0) {
-    // Inline mode: the caller is the only consumer, so a blocking push on
-    // a full queue would deadlock this thread. Make room by pumping.
-    while (!queue_.try_push(std::move(job))) {
-      if (queue_.closed()) {
-        reject_shut_down(std::move(job.request));
-        return future;
-      }
-      pump();
-    }
-    return future;
-  }
-  if (!queue_.push(std::move(job))) {
-    reject_shut_down(std::move(job.request));
-  }
+  if (!push_job(job)) reject_shut_down(std::move(job.request));
   return future;
+}
+
+bool ConcurrentRuntimeManager::push_job(Job& job) {
+  if (options_.workers > 0) return queue_.push(std::move(job));
+  // Inline mode: the caller is the only consumer, so a blocking push on a
+  // full queue would deadlock this thread. Make room by pumping.
+  while (!queue_.try_push(std::move(job))) {
+    if (queue_.closed()) return false;
+    pump();
+  }
+  return true;
 }
 
 void ConcurrentRuntimeManager::reject_shut_down(Request request) {
@@ -128,9 +133,34 @@ void ConcurrentRuntimeManager::reject_shut_down(Request request) {
 AdmitOutcome ConcurrentRuntimeManager::admit(const kpn::Application& app,
                                              double deadline_us,
                                              RequestClass cls) {
+  RequestId id = 0;
   auto future =
-      submit(std::make_shared<kpn::Application>(app), deadline_us, cls);
-  if (options_.workers == 0) pump();
+      enqueue(std::make_shared<kpn::Application>(app), deadline_us, cls, id);
+  if (options_.workers == 0) {
+    // Pump until the request resolves or parks. A parked request resolves
+    // only after a later release, so blocking on it would deadlock the
+    // only pumper; a request another pumping thread holds mid-admission is
+    // neither, so poll for it in short slices.
+    auto parked = [&] {
+      const audit::LockGuard lock(waiting_mutex_);
+      return std::any_of(waiting_.begin(), waiting_.end(),
+                         [&](const Request& r) { return r.id == id; });
+    };
+    while (true) {
+      pump();
+      if (future.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        break;
+      }
+      if (parked()) {
+        AdmitOutcome outcome;
+        outcome.request = id;
+        outcome.status = AdmitStatus::Waiting;
+        return outcome;
+      }
+      (void)future.wait_for(std::chrono::milliseconds(1));
+    }
+  }
   return future.get();
 }
 
@@ -443,11 +473,11 @@ void ConcurrentRuntimeManager::process_request(
     }
     if (result.success) {
       // Pre-validate against the scratch the plan was made on, outside
-      // any lock. This is the serial manager's design-time-baseline
-      // screen (a plan that does not fit its own snapshot is a mapper
-      // failure, not a conflict) and what arms validate_and_commit's
-      // version gate: if the live state has not moved since the scratch
-      // refreshed, this check already proved the commit precondition.
+      // any lock. This is the design-time-baseline screen (a plan that
+      // does not fit its own snapshot is a mapper failure, not a
+      // conflict) and what arms validate_and_commit's version gate: if
+      // the live state has not moved since the scratch refreshed, this
+      // check already proved the commit precondition.
       const auto validate_start = std::chrono::steady_clock::now();
       const bool fits_snapshot =
           core::mapping_fits(scratch, *request.app, result.mapping);
@@ -508,8 +538,7 @@ void ConcurrentRuntimeManager::process_request(
   }
 }
 
-void ConcurrentRuntimeManager::record_outcome(RequestId request,
-                                              const AdmitOutcome& outcome) {
+void ConcurrentRuntimeManager::record_outcome(const AdmitOutcome& outcome) {
   const audit::LockGuard lock(stats_mutex_);
   switch (outcome.status) {
     case AdmitStatus::Admitted:
@@ -526,11 +555,10 @@ void ConcurrentRuntimeManager::record_outcome(RequestId request,
       break;
   }
   stats_.latencies.record(outcome.mapping_us);
-  resolution_order_.push_back(request);
 }
 
 void ConcurrentRuntimeManager::resolve(Request request, AdmitOutcome outcome) {
-  record_outcome(request.id, outcome);
+  record_outcome(outcome);
   request.promise.set_value(std::move(outcome));
   finish_one();
 }
@@ -563,7 +591,7 @@ void ConcurrentRuntimeManager::requeue_waiting(bool after_defrag_migration) {
     in_flight_.fetch_add(1);
     Job job;
     job.request = std::move(request);
-    if (!queue_.push(std::move(job))) {
+    if (!push_job(job)) {
       // Shutting down: the queue refused (job untouched) — give up.
       // No retry is counted: no further mapping attempt will run.
       reject_shut_down(std::move(job.request));
@@ -620,7 +648,7 @@ bool ConcurrentRuntimeManager::try_preempt_and_commit(
   AppId id;
   AdmitOutcome outcome;
   {
-    // Victim selection (shared with the serial manager), eviction and
+    // Victim selection (runtime/preemption.hpp), eviction and
     // commit share one state-lock hold: the mapper runs under the lock —
     // preemption is a rare, last-resort path and the lock is what makes
     // evict+commit atomic against racing admissions (the same trade a
@@ -827,7 +855,7 @@ std::vector<AdmitOutcome> ConcurrentRuntimeManager::reject_waiting() {
     outcome.mapping.failure = "still waiting at end of scenario";
     // Shares resolve()'s bookkeeping but not its finish_one(): a parked
     // request already left the in-flight count when it parked.
-    record_outcome(request.id, outcome);
+    record_outcome(outcome);
     outcomes.push_back(outcome);
     request.promise.set_value(std::move(outcome));
   }
@@ -966,11 +994,6 @@ double ConcurrentRuntimeManager::total_energy_nj_per_symbol() const {
 std::vector<ReleaseError> ConcurrentRuntimeManager::drain_release_errors() {
   const audit::LockGuard lock(stats_mutex_);
   return std::exchange(release_errors_, {});
-}
-
-std::vector<RequestId> ConcurrentRuntimeManager::resolution_order() const {
-  const audit::LockGuard lock(stats_mutex_);
-  return resolution_order_;
 }
 
 #if RTSM_AUDIT

@@ -13,20 +13,25 @@
 #include "audit/mutex.hpp"
 #include "core/mapper.hpp"
 #include "runtime/admission.hpp"
+#include "runtime/defrag.hpp"
 #include "runtime/manager_options.hpp"
+#include "runtime/mode_switch.hpp"
 #include "runtime/request_queue.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "shapes/library.hpp"
+#include "verify/engine.hpp"
 
 namespace rtsm::runtime {
 
+class MapperPortfolio;
 class PortfolioRace;
+struct StatsReport;
 
 /// Tuning knobs of the ConcurrentRuntimeManager.
 struct ConcurrentOptions {
-  /// Worker threads consuming the arrival queue. 0 = no pool: requests
-  /// queue up and are processed inline by pump() (or admit()) on the
-  /// caller's thread — deterministic, used by tests and for embedding the
-  /// manager into an external event loop.
+  /// Worker threads consuming the arrival queue. 0 = no pool: the serial
+  /// mode. Requests queue up and are processed inline by pump() (or
+  /// admit()) on the caller's thread — deterministic, used by the benches,
+  /// the tests and for embedding the manager into an external event loop.
   std::uint32_t workers = 4;
 
   /// Bound of the arrival queue. submit() blocks while the queue is full,
@@ -56,8 +61,29 @@ struct ConcurrentOptions {
   std::uint32_t shards = 1;
 };
 
-/// Thread-safe run-time admission manager: concurrent arrivals, a worker
-/// pool, and optimistic map-then-validate-then-commit booking.
+/// The run-time admission engine: the paper's run-time scenario as a
+/// subsystem, and the only admission manager of the library.
+///
+/// Owns the platform's ResourceState and admits, maps and releases
+/// streaming applications against it. Every admission is planned by the
+/// pluggable Mapper strategy against the residual resources, screened by
+/// mapping_fits() and booked with commit_mapping(); releases return the
+/// reservation with release_mapping(). A pluggable AdmissionPolicy decides
+/// whether failed requests are dropped (first-fit) or parked and retried
+/// when capacity is next released. An optional DefragPolicy compacts the
+/// platform by migrating running applications after releases (before
+/// parked requests are woken) or when an admission fails — see
+/// runtime/defrag.hpp. With a ShapeLibrary, admission first instantiates
+/// a learned relocatable placement against the live state and only falls
+/// back to the full mapper on a miss, learning the placements it commits.
+///
+/// workers = 0 is the serial mode: nothing runs until the caller pumps,
+/// and pump() processes the queue on the caller's thread in bursts of up
+/// to max_batch arrivals. Each burst is ordered by RequestClass priority,
+/// then by the PriorityPolicy, then by arrival order — so with classes
+/// present a later high-priority arrival is admitted ahead of an earlier
+/// default-class one in the same burst. Woken parked requests re-enter
+/// the queue behind whatever is already queued.
 ///
 /// The expensive part of an admission — running the spatial mapper — is
 /// executed on a value snapshot of the ResourceState *outside* any lock;
@@ -68,25 +94,23 @@ struct ConcurrentOptions {
 /// classic optimistic-concurrency loop, which works because admissions
 /// rarely contend for the same tiles on a large platform.
 ///
-/// Semantics relative to the serial RuntimeManager:
-/// - submit() returns a std::future<AdmitOutcome> instead of feeding a
-///   drain() stream; resolution order across racing requests is
-///   nondeterministic (within one drained batch it follows the
-///   PriorityPolicy).
+/// Interface:
+/// - submit() returns a std::future<AdmitOutcome>; with a pool, resolution
+///   order across racing requests is nondeterministic (within one drained
+///   batch it follows the ordering above).
 /// - release() applies immediately (it only takes the state lock) and
 ///   wakes parked requests by re-queueing them.
-/// - A retry policy parks failed requests exactly like the serial manager;
-///   a parked request's future resolves after a later release readmits it,
-///   or when reject_waiting()/shutdown() gives up on it.
+/// - A retry policy parks failed requests; a parked request's future
+///   resolves after a later release readmits it, or when
+///   reject_waiting()/shutdown() gives up on it.
 class ConcurrentRuntimeManager {
  public:
-  /// Builds a manager from the unified options surface shared with the
-  /// serial RuntimeManager (mapper / policy / defrag / preemption / shapes
-  /// / portfolio; see runtime/manager_options.hpp) plus the pool tuning in
-  /// @p options. Null mapper / policy / priority default to SpatialMapper,
-  /// FirstFitAdmission and FifoPriority. Throws rtsm::Error when @p manager
-  /// enables the portfolio without a registry or names an unknown
-  /// strategy.
+  /// Builds a manager from the options surface (mapper / policy / defrag /
+  /// preemption / shapes / portfolio; see runtime/manager_options.hpp) plus
+  /// the pool tuning in @p options. Null mapper / policy / priority default
+  /// to SpatialMapper, FirstFitAdmission and FifoPriority. Throws
+  /// rtsm::Error when @p manager enables the portfolio without a registry
+  /// or names an unknown strategy.
   ConcurrentRuntimeManager(const arch::Platform& platform,
                            ManagerOptions manager,
                            ConcurrentOptions options = {});
@@ -112,24 +136,33 @@ class ConcurrentRuntimeManager {
                                    RequestClass cls = {});
 
   /// submit() + future wait. With workers == 0 the caller's thread pumps
-  /// the queue first. Do not combine with a retry policy when nothing else
-  /// drives releases — a parked request would block forever.
+  /// the queue first, and a request the retry policy parked returns at
+  /// once with status Waiting and its request id (its future resolves
+  /// after a later release; the outcome is not handed out again). With a
+  /// pool, do not combine with a retry policy when nothing else drives
+  /// releases — a parked request would block the caller forever.
   AdmitOutcome admit(const kpn::Application& app, double deadline_us = 0.0,
                      RequestClass cls = {});
 
   /// Releases a running application immediately (thread-safe) and wakes
-  /// parked requests. Returns false — and records a ReleaseError — when
-  /// the id is unknown or already released (the one release contract both
-  /// managers share).
+  /// parked requests. Returns false — and records a ReleaseError +
+  /// stats().release_errors, never a throw — when the id is unknown or
+  /// already released.
   bool release(AppId id);
 
-  /// Switches running instance @p id to graph @p next in place — see
-  /// RuntimeManager::switch_mode for the pin/replan/rollback contract.
-  /// The plan *and* commit run under the state lock (like a defrag pass),
-  /// so the switch is atomic against racing admissions and releases; the
-  /// instance keeps its AppId. A committed switch wakes parked requests.
-  /// @p deadline_us > 0 bounds the switch's own wall-clock budget
-  /// (SwitchStatus::DeadlineMiss + old mode kept when blown).
+  /// Switches running instance @p id to the graph @p next *in place*: the
+  /// processes of @p next that share a name with the old graph are pinned
+  /// to their current tiles and only the remaining delta is re-planned
+  /// (through the ordinary mapper, so structurally-equal placements hit
+  /// the shared step-4 verification cache). The new mode is committed with
+  /// a two-phase release/fit/commit whose misfit path restores the old
+  /// booking exactly; when no plan fits, one defragmentation pass is spent
+  /// before rolling back to the old mode. The plan *and* commit run under
+  /// the state lock (like a defrag pass), so the switch is atomic against
+  /// racing admissions and releases; the instance keeps its AppId. A
+  /// committed switch wakes parked requests. @p deadline_us > 0 bounds the
+  /// switch's own wall-clock budget (SwitchStatus::DeadlineMiss + old mode
+  /// kept when blown).
   SwitchOutcome switch_mode(AppId id,
                             std::shared_ptr<const kpn::Application> next,
                             double deadline_us = 0.0);
@@ -167,9 +200,8 @@ class ConcurrentRuntimeManager {
 
   /// One aggregate observability snapshot (admission + verification +
   /// shape-library counters, plus the release errors drained like
-  /// drain_release_errors()). Identical shape to
-  /// RuntimeManager::stats_report(); StatsReport::to_json() is what the
-  /// benches embed.
+  /// drain_release_errors()). StatsReport::to_json() is what the benches
+  /// embed.
   [[nodiscard]] StatsReport stats_report();
 
   /// Step-4 verification-engine counters of the underlying mapper — the
@@ -195,10 +227,6 @@ class ConcurrentRuntimeManager {
 
   /// Hands out (and clears) recorded release errors.
   [[nodiscard]] std::vector<ReleaseError> drain_release_errors();
-
-  /// Request ids in the order they were resolved (admitted / rejected /
-  /// deadline-missed) — the observable effect of batch reordering.
-  [[nodiscard]] std::vector<RequestId> resolution_order() const;
 
   [[nodiscard]] const core::Mapper& mapper() const { return *mapper_; }
   [[nodiscard]] const AdmissionPolicy& policy() const { return *policy_; }
@@ -258,6 +286,16 @@ class ConcurrentRuntimeManager {
     audit::Mutex mutex{audit::LockRank::kManagerShard, "manager.shard"};
     std::vector<bool> owns_tile;  // indexed by TileId::value()
   };
+
+  /// submit() that also reports the new request's id through @p id.
+  std::future<AdmitOutcome> enqueue(
+      std::shared_ptr<const kpn::Application> app, double deadline_us,
+      RequestClass cls, RequestId& id);
+
+  /// Queues @p job; false (job untouched) when the queue is closed. With
+  /// workers == 0 a full queue is drained by pumping inline, since no
+  /// other thread would ever make room.
+  bool push_job(Job& job);
 
   void worker_loop();
   /// Runs one popped batch: helper jobs first (a racing owner may be
@@ -346,9 +384,9 @@ class ConcurrentRuntimeManager {
   /// Returns whether a pass migrated anything.
   bool maybe_defrag_after_release();
 
-  /// Outcome bookkeeping shared by every resolution path: counters,
-  /// latency sample, resolution order.
-  void record_outcome(RequestId request, const AdmitOutcome& outcome);
+  /// Outcome bookkeeping shared by every resolution path: counters and
+  /// the latency sample.
+  void record_outcome(const AdmitOutcome& outcome);
   void resolve(Request request, AdmitOutcome outcome);
   /// Resolves @p request as rejected because the manager is shut down.
   void reject_shut_down(Request request);
@@ -424,7 +462,6 @@ class ConcurrentRuntimeManager {
   mutable std::atomic<std::uint64_t> validate_ns_{0};
   mutable std::atomic<std::uint64_t> commit_ns_{0};
   std::vector<ReleaseError> release_errors_ RTSM_GUARDED_BY(stats_mutex_);
-  std::vector<RequestId> resolution_order_ RTSM_GUARDED_BY(stats_mutex_);
 
   mutable audit::Mutex waiting_mutex_{audit::LockRank::kManagerWaiting,
                                       "manager.waiting"};

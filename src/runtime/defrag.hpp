@@ -99,7 +99,7 @@ struct DefragPassResult {
 /// if any delta stops fitting mid-commit, the applied prefix is rolled
 /// back in reverse order, the live state is exactly restored, and the
 /// pass aborts with a recorded migration failure. On a sharded
-/// concurrent manager the mapper plans across the whole platform, so a
+/// manager the mapper plans across the whole platform, so a
 /// pass also rebalances applications across shard stripes (cross-shard
 /// work stealing).
 class DefragPlanner {
@@ -130,8 +130,8 @@ class DefragPlanner {
   /// platform. Candidate evaluation mutates them (release + saturate +
   /// commit), so each reuse is a full-copy refresh — the win is the
   /// recycled vector capacity, not delta replay. Callers already
-  /// serialize passes (the concurrent manager runs them under its state
-  /// lock, the serial manager is single-threaded), which is what makes
+  /// serialize passes (the manager runs them under its state lock), which
+  /// is what makes
   /// these mutable members safe in the const run_pass().
   mutable std::optional<core::ResourceState> plan_scratch_;
   mutable std::optional<core::ResourceState> packed_scratch_;

@@ -180,7 +180,7 @@ class FleetManager {
   /// manager's ReleaseError recorded) when unknown or already released.
   bool release(AppId id);
 
-  /// Routes RuntimeManager::switch_mode to the owning platform.
+  /// Routes ConcurrentRuntimeManager::switch_mode to the owning platform.
   /// @p deadline_us > 0 bounds the switch's own wall-clock budget.
   SwitchOutcome switch_mode(AppId id,
                             std::shared_ptr<const kpn::Application> next,

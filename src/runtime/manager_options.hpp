@@ -11,16 +11,16 @@
 
 namespace rtsm::runtime {
 
-/// One configuration surface shared by both run-time managers, so the
-/// serial RuntimeManager and the ConcurrentRuntimeManager are set up
-/// identically (the concurrent manager adds its pool tuning separately in
-/// ConcurrentOptions). Designated initializers keep call sites readable:
+/// Configuration surface of the admission engine (the pool tuning lives
+/// separately in ConcurrentOptions). Designated initializers keep call
+/// sites readable:
 ///
-///   RuntimeManager manager(platform, {.mapper = mapper, .shapes = shapes});
+///   ConcurrentRuntimeManager manager(platform,
+///                                    {.mapper = mapper, .shapes = shapes});
 ///
-/// Every field has a working default; `RuntimeManager(platform, {})` is a
-/// paper-faithful manager running the spatial mapper under first-fit
-/// admission.
+/// Every field has a working default; `ConcurrentRuntimeManager(platform,
+/// {})` is a paper-faithful manager running the spatial mapper under
+/// first-fit admission.
 struct ManagerOptions {
   /// Primary mapper: the single planning strategy when the portfolio is
   /// disabled, and the unbudgeted fallback when a race produces no winner.
@@ -49,7 +49,7 @@ struct ManagerOptions {
 
   /// Registry the portfolio strategies are resolved from (typically
   /// baselines::builtin_mappers(), possibly extended). Only consulted when
-  /// the portfolio is enabled; the managers throw rtsm::Error at
+  /// the portfolio is enabled; the manager throws rtsm::Error at
   /// construction when it is missing or names an unknown strategy then.
   std::shared_ptr<const core::MapperRegistry> registry;
 };

@@ -83,10 +83,9 @@ struct ModeSwitchOptions {
 
 /// Plans and commits the switch of running instance @p id to graph
 /// @p next against @p state / @p running. The caller must hold whatever
-/// lock guards the pair (the serial manager is single-threaded; the
-/// concurrent manager calls this under its state mutex, like a defrag
-/// pass). @p planner may be null (no defrag-assisted retry). @p cost
-/// prices the state transfer of moved processes.
+/// lock guards the pair (the manager calls this under its state mutex,
+/// like a defrag pass). @p planner may be null (no defrag-assisted
+/// retry). @p cost prices the state transfer of moved processes.
 ///
 /// Plan: release the instance's own booking on a scratch snapshot, then
 /// (1) map a copy of @p next whose name-matched processes are pinned —

@@ -19,15 +19,6 @@ MapperPortfolio::MapperPortfolio(const core::MapperRegistry& registry,
   }
 }
 
-RaceOutcome MapperPortfolio::race(const kpn::Application& app,
-                                  const core::ResourceState& base) const {
-  PortfolioRace race(*this, app, base);
-  for (std::size_t i = 0; i < size(); ++i) {
-    race.run(i);
-  }
-  return race.close_and_wait();
-}
-
 PortfolioRace::PortfolioRace(const MapperPortfolio& portfolio,
                              const kpn::Application& app,
                              const core::ResourceState& base)

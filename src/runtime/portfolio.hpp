@@ -13,7 +13,7 @@
 #include "core/mapper_registry.hpp"
 #include "core/portfolio.hpp"
 #include "core/resource_state.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/admission.hpp"
 
 namespace rtsm::runtime {
 
@@ -73,12 +73,6 @@ class MapperPortfolio {
     return options_;
   }
 
-  /// Runs one whole race on the calling thread (the serial manager's
-  /// path): strategies run in configuration order under the shared budget
-  /// token, so a FirstFeasible win or budget expiry skips the rest.
-  [[nodiscard]] RaceOutcome race(const kpn::Application& app,
-                                 const core::ResourceState& base) const;
-
  private:
   core::PortfolioOptions options_;
   std::vector<std::unique_ptr<const core::Mapper>> strategies_;
@@ -86,12 +80,12 @@ class MapperPortfolio {
 
 /// One race in flight over an immutable base snapshot.
 ///
-/// Built by the admitting thread (the serial manager's drain loop, or the
-/// owning worker of the concurrent pool); any thread may then claim and
-/// run individual strategies — the concurrent manager queues helper jobs
-/// so idle workers join in. The owner finishes by claiming whatever is
-/// still unclaimed itself and calling close_and_wait(), which blocks only
-/// while a strategy is actively running on another thread. The protocol
+/// Built by the admitting thread (the pump caller or the owning pool
+/// worker); any thread may then claim and run individual strategies — the
+/// manager queues helper jobs so idle workers join in. The owner finishes
+/// by claiming whatever is still unclaimed itself and calling
+/// close_and_wait(), which blocks only while a strategy is actively
+/// running on another thread. The protocol
 /// therefore cannot deadlock regardless of pool size (including zero
 /// workers, where the owner simply runs every strategy sequentially).
 ///
@@ -154,8 +148,7 @@ void merge_portfolio_stats(AdmissionStats& stats,
 
 /// Builds the portfolio configured in @p options; null when disabled.
 /// Throws rtsm::Error when the portfolio is enabled without a registry, or
-/// names a strategy the registry does not have. Shared constructor tail of
-/// both managers.
+/// names a strategy the registry does not have.
 [[nodiscard]] std::unique_ptr<MapperPortfolio> make_portfolio(
     const ManagerOptions& options);
 

@@ -11,9 +11,8 @@
 
 namespace rtsm::runtime {
 
-/// The victim set and feasible plan a preemption would commit: shared by
-/// both managers so victim selection cannot diverge between them (the
-/// commit/re-park tail stays per-manager — locking differs).
+/// The victim set and feasible plan a preemption would commit. The
+/// manager commits it and re-parks the victims under its own locks.
 struct PreemptionPlan {
   /// Eviction admits the arrival: @p victims + @p plan are valid.
   [[nodiscard]] bool admits() const { return plan.success; }

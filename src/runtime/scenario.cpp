@@ -339,35 +339,6 @@ bool ScenarioTarget::replay_matches() const {
   return live.approx_equals(replayed);
 }
 
-std::vector<SettledOutcome> SerialTarget::correlate(
-    std::vector<AdmitOutcome> outcomes,
-    std::vector<SettledOutcome> settled) {
-  for (AdmitOutcome& outcome : outcomes) {
-    SettledOutcome s;
-    const auto it = tickets_.find(outcome.request);
-    if (it != tickets_.end()) {
-      s.ticket = it->second;
-      tickets_.erase(it);
-    }
-    s.outcome = std::move(outcome);
-    settled.push_back(std::move(s));
-  }
-  return settled;
-}
-
-std::vector<SettledOutcome> SerialTarget::settle() {
-  return correlate(manager_->drain(), {});
-}
-
-std::vector<SettledOutcome> SerialTarget::finish() {
-  return correlate(manager_->reject_waiting(), settle());
-}
-
-bool SerialTarget::is_running(AppId id) const {
-  const std::vector<AppId> ids = manager_->running_ids();
-  return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-
 std::uint64_t ConcurrentTarget::submit(
     std::shared_ptr<const kpn::Application> app, double deadline_us,
     RequestClass cls) {
@@ -421,13 +392,8 @@ void ScenarioDriver::handle_outcomes(
   for (const SettledOutcome& settled : outcomes) {
     const AdmitOutcome& outcome = settled.outcome;
     const auto it = pending_slot_.find(settled.ticket);
-    if (it == pending_slot_.end()) {
-      // A request the driver never submitted: a preemption victim that
-      // re-entered the stream. Its instance (when re-admitted) runs
-      // detached from slot tracking until the scenario ends.
-      ++stats_.reparked_outcomes;
-      continue;
-    }
+    require(it != pending_slot_.end(),
+            "scenario target settled an outcome the driver never submitted");
     if (outcome.status == AdmitStatus::Waiting) {
       // Still parked: keep the ticket mapping (and any naive-retry tag)
       // so the eventual resolution still lands on its slot.

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "runtime/concurrent_manager.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "workload/hiperlan2.hpp"
 #include "workload/synthetic.hpp"
 
@@ -159,18 +158,17 @@ struct ScenarioTrace {
                                       const std::vector<WaveOutcome>& b);
 
 /// An outcome as the driver receives it: @p ticket is the target-assigned
-/// submission handle (0 when the request was not submitted through the
-/// target — e.g. a preemption victim re-entering the stream).
+/// submission handle of the request it resolves.
 struct SettledOutcome {
   std::uint64_t ticket = 0;
   AdmitOutcome outcome;
 };
 
-/// Adapter hiding which manager a scenario drives. submit() returns a
-/// target-assigned ticket (monotone from 1) that settle()/finish() hand
-/// back with the resolved outcome — request-id plumbing differs between
-/// the managers (the concurrent one only reveals ids through futures), so
-/// the driver correlates by ticket. settle() resolves everything
+/// Adapter hiding what a scenario drives (one admission engine or a
+/// fleet of them). submit() returns a target-assigned ticket (monotone
+/// from 1) that settle()/finish() hand back with the resolved outcome —
+/// the engine only reveals request ids through futures, so the driver
+/// correlates by ticket. settle() resolves everything
 /// resolvable right now and hands each outcome out exactly once;
 /// finish() additionally gives up on parked requests.
 class ScenarioTarget {
@@ -204,55 +202,11 @@ class ScenarioTarget {
   [[nodiscard]] virtual bool replay_matches() const;
 };
 
-/// Drives the serial RuntimeManager.
-class SerialTarget final : public ScenarioTarget {
- public:
-  explicit SerialTarget(RuntimeManager& manager) : manager_(&manager) {}
-
-  std::uint64_t submit(std::shared_ptr<const kpn::Application> app,
-                       double deadline_us, RequestClass cls) override {
-    const RequestId request = manager_->submit(std::move(app), deadline_us,
-                                               cls);
-    tickets_[request] = ++next_ticket_;
-    return next_ticket_;
-  }
-  bool release(AppId id) override { return manager_->release(id); }
-  SwitchOutcome switch_mode(AppId id,
-                            std::shared_ptr<const kpn::Application> next,
-                            double deadline_us) override {
-    return manager_->switch_mode(id, std::move(next), deadline_us);
-  }
-  std::vector<SettledOutcome> settle() override;
-  std::vector<SettledOutcome> finish() override;
-
-  bool is_running(AppId id) const override;
-  std::vector<AppId> running_ids() const override {
-    return manager_->running_ids();
-  }
-  std::shared_ptr<const kpn::Application> app_of(AppId id) const override {
-    return manager_->app_of(id);
-  }
-  core::Mapping mapping_of(AppId id) const override {
-    return manager_->mapping_of(id);
-  }
-  core::ResourceState state_copy() const override { return manager_->state(); }
-  AdmissionStats stats() const override { return manager_->stats(); }
-
- private:
-  /// Maps manager outcomes to their tickets (erasing the used entries)
-  /// and appends them to @p settled; shared by settle() and finish().
-  std::vector<SettledOutcome> correlate(std::vector<AdmitOutcome> outcomes,
-                                        std::vector<SettledOutcome> settled);
-
-  RuntimeManager* manager_;
-  std::uint64_t next_ticket_ = 0;
-  /// Manager request id -> ticket for outcomes not yet settled.
-  std::map<RequestId, std::uint64_t> tickets_;
-};
-
 /// Drives the ConcurrentRuntimeManager; collects resolved futures on
-/// settle(). Safe to use while the manager's worker pool runs — settle()
-/// waits for the in-flight work to drain first.
+/// settle(). Works in the serial mode (workers = 0: settle() pumps) and
+/// while a worker pool runs — settle() waits for the in-flight work to
+/// drain first. Preemption victims re-enter the stream under promises
+/// nobody holds, so they never surface here (stats() still counts them).
 class ConcurrentTarget final : public ScenarioTarget {
  public:
   explicit ConcurrentTarget(ConcurrentRuntimeManager& manager)
@@ -323,12 +277,6 @@ struct ScenarioStats {
   std::uint64_t switch_deadline_misses = 0;
   /// Naive mode only: release+readmit lost the application.
   std::uint64_t naive_switch_losses = 0;
-
-  /// Outcomes without a driver ticket — preemption victims re-entering
-  /// the stream (admitted again or finally rejected). Only the serial
-  /// target surfaces these; the concurrent manager resolves victim
-  /// promises nobody holds (its stats() still count them).
-  std::uint64_t reparked_outcomes = 0;
 
   /// Wall-clock latency of each switch operation as the driver saw it
   /// (in-place: the switch_mode call; naive: release + readmit).

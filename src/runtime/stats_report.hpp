@@ -4,14 +4,13 @@
 #include <vector>
 
 #include "noc/route_cache.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/admission.hpp"
 #include "shapes/library.hpp"
 #include "verify/engine.hpp"
 
 namespace rtsm::runtime {
 
-/// One aggregate observability snapshot, produced identically by
-/// RuntimeManager::stats_report() and
+/// One aggregate observability snapshot, produced by
 /// ConcurrentRuntimeManager::stats_report(). It replaces the four separate
 /// stats()/verification_stats()/shape_stats()/drain_release_errors()
 /// round-trips every JSON-emitting bench used to hand-roll — the benches

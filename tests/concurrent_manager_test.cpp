@@ -36,6 +36,21 @@ arch::Platform row_platform() {
   return p;
 }
 
+/// 4x3 mesh of twelve single-slot compute tiles, BIG and LITTLE in a
+/// checkerboard: room for several fixture-less pipelines at once.
+arch::Platform roomy_platform() {
+  arch::Platform p("roomy 4x3", 4, 3);
+  const TileTypeId big = p.add_tile_type("BIG", 200'000'000);
+  const TileTypeId little = p.add_tile_type("LITTLE", 200'000'000);
+  for (std::uint32_t y = 0; y < 3; ++y) {
+    for (std::uint32_t x = 0; x < 4; ++x) {
+      p.add_tile("T" + std::to_string(x) + std::to_string(y),
+                 (x + y) % 2 == 0 ? big : little, x, y, 64 * 1024);
+    }
+  }
+  return p;
+}
+
 kpn::Application fixture_app(std::uint32_t stages) {
   test::PipelineSpec spec;
   spec.stages = stages;
@@ -244,8 +259,8 @@ TEST(ConcurrentRuntimeManager, InlineSubmitPumpsWhenQueueFull) {
 TEST(ConcurrentRuntimeManager, BatchIsReorderedByPriorityPolicy) {
   // Three arrivals of different sizes queue up while no worker runs; one
   // pump() drains them as a single batch, and the smallest-first policy
-  // must decide the admission (= resolution) order, not arrival order.
-  const auto platform = test::small_platform();
+  // must decide the admission (= commit) order, not arrival order.
+  const auto platform = roomy_platform();
   ConcurrentRuntimeManager manager(
       platform, {.mapper = paper_mapper()},
       {.workers = 0,
@@ -265,25 +280,27 @@ TEST(ConcurrentRuntimeManager, BatchIsReorderedByPriorityPolicy) {
   const auto r1 = f1.get();
   const auto r2 = f2.get();
   const auto r3 = f3.get();
-  const auto order = manager.resolution_order();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], r3.request);  // 2 stages first
-  EXPECT_EQ(order[1], r2.request);  // then 3 stages
-  EXPECT_EQ(order[2], r1.request);  // 4 stages last
+  ASSERT_EQ(r1.status, AdmitStatus::Admitted) << r1.mapping.failure;
+  ASSERT_EQ(r2.status, AdmitStatus::Admitted) << r2.mapping.failure;
+  ASSERT_EQ(r3.status, AdmitStatus::Admitted) << r3.mapping.failure;
+  // App ids are handed out at commit, so they record the admission order.
+  EXPECT_LT(r3.app_id.value(), r2.app_id.value());  // 2 stages first
+  EXPECT_LT(r2.app_id.value(), r1.app_id.value());  // then 3, 4 last
 }
 
 TEST(ConcurrentRuntimeManager, FifoPriorityKeepsArrivalOrder) {
-  const auto platform = test::small_platform();
+  const auto platform = roomy_platform();
   ConcurrentRuntimeManager manager(
       platform, {.mapper = paper_mapper()},
       {.workers = 0, .queue_capacity = 16, .max_batch = 8});
   auto f1 = manager.submit(std::make_shared<kpn::Application>(compute_app(3)));
   auto f2 = manager.submit(std::make_shared<kpn::Application>(compute_app(2)));
   manager.pump();
-  const auto order = manager.resolution_order();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], f1.get().request);
-  EXPECT_EQ(order[1], f2.get().request);
+  const auto r1 = f1.get();
+  const auto r2 = f2.get();
+  ASSERT_EQ(r1.status, AdmitStatus::Admitted) << r1.mapping.failure;
+  ASSERT_EQ(r2.status, AdmitStatus::Admitted) << r2.mapping.failure;
+  EXPECT_LT(r1.app_id.value(), r2.app_id.value());  // commit order
 }
 
 TEST(ConcurrentRuntimeManager, ShardedModeAdmitsWithFallback) {

@@ -6,8 +6,8 @@
 #include "core/fragmentation.hpp"
 #include "core/migration.hpp"
 #include "core/spatial_mapper.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "runtime/defrag.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -38,7 +38,7 @@ kpn::Application one_stage_app() {
   return test::pipeline_app(spec);
 }
 
-core::ResourceState replay(const runtime::RuntimeManager& manager,
+core::ResourceState replay(const runtime::ConcurrentRuntimeManager& manager,
                            const arch::Platform& platform) {
   core::ResourceState replayed(platform);
   for (const AppId id : manager.running_ids()) {
@@ -207,8 +207,9 @@ TEST(MigrationCostModel, CostGrowsWithDistanceAndIsZeroWhenUnmoved) {
 TEST(DefragPlanner, PassCompactsScatteredRowAndKeepsBookkeepingExact) {
   const auto platform = row_platform();
   const auto app = one_stage_app();
-  runtime::RuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>()});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>()},
+      {.workers = 0});
   std::vector<AppId> ids;
   for (int i = 0; i < 4; ++i) {
     const auto outcome = manager.admit(app);
@@ -220,7 +221,7 @@ TEST(DefragPlanner, PassCompactsScatteredRowAndKeepsBookkeepingExact) {
   manager.release(ids[1]);
   manager.release(ids[3]);
   const double before =
-      core::measure_fragmentation(manager.state()).score();
+      core::measure_fragmentation(manager.state_snapshot()).score();
 
   const auto pass = manager.defrag_now();
   EXPECT_EQ(pass.migrations, 1u);
@@ -231,12 +232,13 @@ TEST(DefragPlanner, PassCompactsScatteredRowAndKeepsBookkeepingExact) {
   EXPECT_DOUBLE_EQ(pass.fragmentation_before, before);
 
   // The survivor of C2 moved into the C1 hole, leaving C2+C3 contiguous.
-  const auto metrics = core::measure_fragmentation(manager.state());
+  const auto metrics = core::measure_fragmentation(manager.state_snapshot());
   EXPECT_GE(metrics.largest_free_region, 2u);
 
   // Oracle: the live state equals a serial replay of the migrated
   // mappings, and stats picked the pass up.
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
   EXPECT_EQ(manager.stats().migrations, 1u);
   EXPECT_EQ(manager.stats().defrag_passes, 1u);
 }
@@ -246,9 +248,10 @@ TEST(DefragPlanner, RespectsMigrationBudget) {
   const auto app = one_stage_app();
   runtime::DefragOptions defrag;
   defrag.migration_budget_us = 1e-6;  // far below any real transfer
-  runtime::RuntimeManager manager(
+  runtime::ConcurrentRuntimeManager manager(
       platform,
-      {.mapper = std::make_shared<core::SpatialMapper>(), .defrag = defrag});
+      {.mapper = std::make_shared<core::SpatialMapper>(), .defrag = defrag},
+      {.workers = 0});
   std::vector<AppId> ids;
   for (int i = 0; i < 4; ++i) {
     ids.push_back(manager.admit(app).app_id);
@@ -262,46 +265,50 @@ TEST(DefragPlanner, RespectsMigrationBudget) {
 
 // -------------------------------------------------- manager integration --
 
-TEST(RuntimeManagerDefrag, OnReleaseThresholdRunsBeforeWakingParked) {
+TEST(ManagerDefrag, OnReleaseThresholdRunsBeforeWakingParked) {
   const auto platform = row_platform();
   const auto app = one_stage_app();
   runtime::DefragOptions defrag;
   defrag.policy = runtime::DefragPolicy::OnReleaseThreshold;
   defrag.fragmentation_threshold = 0.3;
-  runtime::RuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>(),
-                 .policy = std::make_shared<runtime::RetryAdmission>(4),
-                 .defrag = defrag});
+  runtime::ConcurrentRuntimeManager manager(
+      platform,
+      {.mapper = std::make_shared<core::SpatialMapper>(),
+       .policy = std::make_shared<runtime::RetryAdmission>(4),
+       .defrag = defrag},
+      {.workers = 0});
 
   std::vector<AppId> ids;
   for (int i = 0; i < 4; ++i) {
     ids.push_back(manager.admit(app).app_id);
   }
   // All compute tiles taken: the fifth request parks.
-  const auto parked = manager.admit(app);
-  EXPECT_EQ(parked.status, runtime::AdmitStatus::Waiting);
+  auto parked =
+      manager.submit(std::make_shared<kpn::Application>(app));
+  manager.pump();
   ASSERT_EQ(manager.waiting_count(), 1u);
 
-  // A back-to-back release batch frees C1 and C3; the manager defrags
-  // once after the batch, then wakes the parked request into the
-  // compacted state.
-  manager.submit_release(ids[1]);
-  manager.submit_release(ids[3]);
-  const auto outcomes = manager.drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].status, runtime::AdmitStatus::Admitted);
-  EXPECT_EQ(outcomes[0].request, parked.request);
+  // Two releases free C1 and C3. Each runs the threshold check (and a
+  // pass) before re-queueing parked requests; the second pass compacts
+  // the row. The parked request is retried once, by the next pump, in
+  // the compacted state.
+  manager.release(ids[1]);
+  manager.release(ids[3]);
+  manager.pump();
+  const runtime::AdmitOutcome outcome = parked.get();
+  EXPECT_EQ(outcome.status, runtime::AdmitStatus::Admitted);
+  EXPECT_EQ(outcome.attempts, 2u);
 
-  const auto& stats = manager.stats();
-  EXPECT_EQ(stats.defrag_passes, 1u);
+  const runtime::AdmissionStats stats = manager.stats();
+  EXPECT_EQ(stats.defrag_passes, 2u);
   EXPECT_EQ(stats.migrations, 1u);
-  EXPECT_EQ(stats.parked_woken_by_defrag, 1u);
   EXPECT_GT(stats.last_fragmentation_before,
             stats.last_fragmentation_after);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
-TEST(RuntimeManagerDefrag, OnRejectCompactsAndRetriesTheRequest) {
+TEST(ManagerDefrag, OnRejectCompactsAndRetriesTheRequest) {
   // Two dual-slot tiles, three small residents admitted so their
   // utilisation is smeared 2+1 across the tiles; a large app then needs a
   // nearly-empty tile. Only after the on-reject pass consolidates the
@@ -323,9 +330,10 @@ TEST(RuntimeManagerDefrag, OnRejectCompactsAndRetriesTheRequest) {
 
   runtime::DefragOptions defrag;
   defrag.policy = runtime::DefragPolicy::OnReject;
-  runtime::RuntimeManager manager(
+  runtime::ConcurrentRuntimeManager manager(
       platform,
-      {.mapper = std::make_shared<core::SpatialMapper>(), .defrag = defrag});
+      {.mapper = std::make_shared<core::SpatialMapper>(), .defrag = defrag},
+      {.workers = 0});
 
   std::vector<AppId> ids;
   for (int i = 0; i < 3; ++i) {
@@ -342,10 +350,11 @@ TEST(RuntimeManagerDefrag, OnRejectCompactsAndRetriesTheRequest) {
   EXPECT_EQ(outcome.status, runtime::AdmitStatus::Admitted)
       << outcome.mapping.failure;
   EXPECT_GE(outcome.attempts, 2u);  // failed, defragged, succeeded
-  const auto& stats = manager.stats();
+  const runtime::AdmissionStats stats = manager.stats();
   EXPECT_GE(stats.defrag_passes, 1u);
   EXPECT_GE(stats.migrations, 1u);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
 }  // namespace

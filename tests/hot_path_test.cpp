@@ -21,7 +21,6 @@
 #include "noc/route.hpp"
 #include "noc/route_cache.hpp"
 #include "runtime/concurrent_manager.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "test_helpers.hpp"
 
 namespace rtsm::runtime {
@@ -185,43 +184,53 @@ TEST(HotPathRefresh, SyncTokenSurvivesOnlyUntilEitherSideMutates) {
 
 // --------------------------------------------------- version-gated commits --
 
-TEST(HotPathGate, GatedManagerMatchesAlwaysValidatingSerialManager) {
+TEST(HotPathGate, GatedManagerMatchesAlwaysValidatingReference) {
   // Equivalence: the same deterministic admit/release sequence through
-  //  (a) the concurrent manager with workers == 0 — single-threaded, so
-  //      every commit takes the version-gated fast path (no mapping_fits
-  //      re-validation under the lock), and
-  //  (b) the serial RuntimeManager, which always screens every plan with
-  //      mapping_fits before committing.
+  //  (a) the manager with workers == 0 — single-threaded, so every commit
+  //      takes the version-gated fast path (no mapping_fits re-validation
+  //      under the lock), and
+  //  (b) a reference loop on a plain ResourceState that screens every
+  //      plan: SpatialMapper::map -> mapping_fits -> commit_mapping.
   // Decisions and final bookkeeping must be identical.
   const auto platform = test::small_platform();
   ConcurrentRuntimeManager gated(platform, {.mapper = paper_mapper()},
                                  {.workers = 0});
-  RuntimeManager validating(platform, {.mapper = paper_mapper()});
+  const auto reference_mapper = paper_mapper();
+  core::ResourceState reference(platform);
+  struct Booking {
+    std::shared_ptr<const kpn::Application> app;
+    core::Mapping mapping;
+  };
 
   std::vector<AppId> gated_running;
-  std::vector<AppId> validating_running;
+  std::vector<Booking> reference_running;
   std::mt19937 rng(99);
   std::uniform_int_distribution<std::uint32_t> stages(2, 3);
   for (int step = 0; step < 60; ++step) {
     if (step % 3 == 2 && !gated_running.empty()) {
       EXPECT_TRUE(gated.release(gated_running.front()));
-      EXPECT_TRUE(validating.release(validating_running.front()));
+      const Booking& oldest = reference_running.front();
+      core::release_mapping(reference, *oldest.app, oldest.mapping);
       gated_running.erase(gated_running.begin());
-      validating_running.erase(validating_running.begin());
+      reference_running.erase(reference_running.begin());
       continue;
     }
     const auto app = compute_app(stages(rng));
     const AdmitOutcome a = gated.admit(*app);
-    const AdmitOutcome b = validating.admit(*app);
-    ASSERT_EQ(a.status, b.status) << "gate changed an admission decision";
-    if (a.status == AdmitStatus::Admitted) {
+    const core::MappingResult plan = reference_mapper->map(*app, reference);
+    const bool admitted =
+        plan.success && core::mapping_fits(reference, *app, plan.mapping);
+    ASSERT_EQ(a.status == AdmitStatus::Admitted, admitted)
+        << "gate changed an admission decision";
+    if (admitted) {
+      core::commit_mapping(reference, *app, plan.mapping);
       gated_running.push_back(a.app_id);
-      validating_running.push_back(b.app_id);
+      reference_running.push_back({app, plan.mapping});
     }
   }
 
-  EXPECT_TRUE(gated.state_snapshot().approx_equals(validating.state()))
-      << "gated and validating managers booked different residual state";
+  EXPECT_TRUE(gated.state_snapshot().approx_equals(reference))
+      << "gated manager and reference loop booked different residual state";
 
   const AdmissionStats stats = gated.stats();
   EXPECT_GT(stats.gated_commits, 0u) << "single-threaded commits should gate";

@@ -10,7 +10,6 @@
 #include "core/portfolio.hpp"
 #include "runtime/concurrent_manager.hpp"
 #include "runtime/portfolio.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "runtime/stats_report.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -52,7 +51,7 @@ TEST(Portfolio, NewMappersRoundTripThroughTheRegistry) {
   }
 }
 
-// ------------------------------------------------- serial-manager races ---
+// ---------------------------------------------------- serial-mode races ---
 
 TEST(Portfolio, SerialSelectionIsSeededDeterministic) {
   // Two identically configured managers fed the identical arrival sequence
@@ -63,11 +62,12 @@ TEST(Portfolio, SerialSelectionIsSeededDeterministic) {
                        std::vector<double>& energies) {
     const auto platform = test::small_platform(
         200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/8);
-    RuntimeManager manager(
+    ConcurrentRuntimeManager manager(
         platform,
         {.portfolio = race_of({"list", "series-parallel", "genetic", "spatial"},
                               core::PortfolioSelection::BestEnergy),
-         .registry = registry});
+         .registry = registry},
+        {.workers = 0});
     for (std::uint32_t stages = 1; stages <= 3; ++stages) {
       const auto outcome =
           manager.admit(test::pipeline_app({.stages = stages}));
@@ -94,13 +94,16 @@ TEST(Portfolio, SerialSelectionIsSeededDeterministic) {
 }
 
 TEST(Portfolio, FirstFeasibleCommitsTheEarliestStrategy) {
-  // Sequential serial race: the first configured strategy that produces a
+  // Serial-mode race (workers = 0: the admitting thread runs the
+  // strategies in order): the first configured strategy that produces a
   // feasible plan wins, and its name lands on the outcome and in stats.
   const auto platform = test::small_platform();
-  RuntimeManager manager(
-      platform, {.portfolio = race_of({"spatial", "list"},
-                                      core::PortfolioSelection::FirstFeasible),
-                 .registry = shared_registry()});
+  ConcurrentRuntimeManager manager(
+      platform,
+      {.portfolio = race_of({"spatial", "list"},
+                            core::PortfolioSelection::FirstFeasible),
+       .registry = shared_registry()},
+      {.workers = 0});
   const auto outcome = manager.admit(test::pipeline_app({.stages = 2}));
   ASSERT_EQ(outcome.status, AdmitStatus::Admitted) << outcome.mapping.failure;
   EXPECT_EQ(outcome.portfolio_winner, "spatial");
@@ -109,8 +112,8 @@ TEST(Portfolio, FirstFeasibleCommitsTheEarliestStrategy) {
   ASSERT_EQ(stats.portfolio.size(), 2u);
   EXPECT_EQ(stats.portfolio[0].wins, 1u);
   EXPECT_EQ(stats.portfolio[0].runs, 1u);
-  // The loser never started: the serial race stops offering strategies
-  // once a first-feasible winner cancelled the race.
+  // The loser never started: a strategy claimed after a first-feasible
+  // winner cancelled the race is recorded as skipped.
   EXPECT_EQ(stats.portfolio[1].runs, 0u);
   EXPECT_EQ(stats.portfolio[1].wins, 0u);
 }
@@ -120,12 +123,13 @@ TEST(Portfolio, ExhaustedBudgetFallsBackToThePrimaryMapper) {
   // race yields no winner and the manager admits through one unbudgeted
   // run of its primary (spatial) mapper.
   const auto platform = test::small_platform();
-  RuntimeManager manager(
+  ConcurrentRuntimeManager manager(
       platform,
       {.portfolio = race_of({"list", "genetic"},
                             core::PortfolioSelection::BestEnergy,
                             /*budget_us=*/1e-9),
-       .registry = shared_registry()});
+       .registry = shared_registry()},
+      {.workers = 0});
   const auto outcome = manager.admit(test::pipeline_app({.stages = 2}));
   ASSERT_EQ(outcome.status, AdmitStatus::Admitted) << outcome.mapping.failure;
   EXPECT_TRUE(outcome.portfolio_winner.empty());
@@ -142,12 +146,6 @@ TEST(Portfolio, ExhaustedBudgetFallsBackToThePrimaryMapper) {
 TEST(Portfolio, EnabledPortfolioRequiresARegistry) {
   const auto platform = test::small_platform();
   EXPECT_THROW(
-      RuntimeManager(
-          platform,
-          {.portfolio = race_of({"spatial"},
-                                core::PortfolioSelection::FirstFeasible)}),
-      Error);
-  EXPECT_THROW(
       ConcurrentRuntimeManager(
           platform,
           {.portfolio = race_of({"spatial"},
@@ -159,11 +157,12 @@ TEST(Portfolio, EnabledPortfolioRequiresARegistry) {
 TEST(Portfolio, UnknownStrategyNameIsRejectedAtConstruction) {
   const auto platform = test::small_platform();
   EXPECT_THROW(
-      RuntimeManager(
+      ConcurrentRuntimeManager(
           platform,
           {.portfolio = race_of({"no-such-mapper"},
                                 core::PortfolioSelection::FirstFeasible),
-           .registry = shared_registry()}),
+           .registry = shared_registry()},
+          {.workers = 0}),
       Error);
 }
 
@@ -259,10 +258,12 @@ TEST(Portfolio, ConcurrentPumpModeRacesDeterministically) {
 
 TEST(Portfolio, StatsReportSerializesEverySection) {
   const auto platform = test::small_platform();
-  RuntimeManager manager(
-      platform, {.portfolio = race_of({"spatial", "list"},
-                                      core::PortfolioSelection::BestEnergy),
-                 .registry = shared_registry()});
+  ConcurrentRuntimeManager manager(
+      platform,
+      {.portfolio = race_of({"spatial", "list"},
+                            core::PortfolioSelection::BestEnergy),
+       .registry = shared_registry()},
+      {.workers = 0});
   const auto outcome = manager.admit(test::pipeline_app({.stages = 2}));
   ASSERT_EQ(outcome.status, AdmitStatus::Admitted);
   EXPECT_FALSE(manager.release(AppId{404}));  // seed one release error

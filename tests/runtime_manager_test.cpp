@@ -1,9 +1,16 @@
+// The admission engine's serial mode (ConcurrentRuntimeManager with
+// workers = 0): nothing runs until the caller pumps, so every test here is
+// deterministic.
+
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
+#include <string>
 
 #include "core/spatial_mapper.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -14,15 +21,35 @@ std::shared_ptr<const core::SpatialMapper> paper_mapper() {
   return std::make_shared<core::SpatialMapper>();
 }
 
-RuntimeManager make_manager(
+ConcurrentRuntimeManager make_manager(
     const arch::Platform& platform,
     std::shared_ptr<const AdmissionPolicy> policy =
         std::make_shared<FirstFitAdmission>()) {
-  return RuntimeManager(platform,
-                        {.mapper = paper_mapper(), .policy = std::move(policy)});
+  return ConcurrentRuntimeManager(
+      platform, {.mapper = paper_mapper(), .policy = std::move(policy)},
+      {.workers = 0});
 }
 
-TEST(RuntimeManager, AdmitsAndReleases) {
+bool ready(const std::future<AdmitOutcome>& future) {
+  return future.wait_for(std::chrono::seconds(0)) ==
+         std::future_status::ready;
+}
+
+/// Two IO slots per IO tile and two single-slot BIG tiles: one-stage
+/// BIG-only apps contend for the BIG tiles only.
+arch::Platform two_big_tiles() {
+  return test::small_platform(200'000'000, 200'000'000, 64 * 1024,
+                              /*io_slots=*/4);
+}
+
+kpn::Application one_big_stage() {
+  test::PipelineSpec spec;
+  spec.stages = 1;
+  spec.little_wcet_cc = 0;
+  return test::pipeline_app(spec);
+}
+
+TEST(SerialMode, AdmitsAndReleases) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   const auto app = test::pipeline_app({.stages = 2});
@@ -36,21 +63,18 @@ TEST(RuntimeManager, AdmitsAndReleases) {
   manager.release(started.app_id);
   EXPECT_EQ(manager.running_count(), 0u);
   EXPECT_DOUBLE_EQ(manager.total_energy_nj_per_symbol(), 0.0);
+  const core::ResourceState state = manager.state_snapshot();
   for (const TileId tid : platform.tile_ids()) {
-    EXPECT_DOUBLE_EQ(manager.state().utilization(tid), 0.0);
+    EXPECT_DOUBLE_EQ(state.utilization(tid), 0.0);
   }
 }
 
-TEST(RuntimeManager, AdmitAdmitReleaseReadmitRestoresResources) {
+TEST(SerialMode, AdmitAdmitReleaseReadmitRestoresResources) {
   // IO tiles accept several fixtures; each app then contends for one of
   // the two single-slot BIG tiles.
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
+  const auto platform = two_big_tiles();
   auto manager = make_manager(platform);
-  test::PipelineSpec spec;
-  spec.stages = 1;
-  spec.little_wcet_cc = 0;
-  const auto app = test::pipeline_app(spec);
+  const auto app = one_big_stage();
 
   const auto first = manager.admit(app);
   ASSERT_EQ(first.status, AdmitStatus::Admitted) << first.mapping.failure;
@@ -66,28 +90,25 @@ TEST(RuntimeManager, AdmitAdmitReleaseReadmitRestoresResources) {
   EXPECT_NE(first.mapping.mapping.tile_of(s0),
             second.mapping.mapping.tile_of(s0));
 
-  // Snapshot the loaded state, release one instance, verify its tile's
-  // resources are fully restored, and re-admit.
+  // Release one instance, verify its tile's resources are fully restored,
+  // and re-admit.
   const TileId freed = first.mapping.mapping.tile_of(s0);
-  EXPECT_GT(manager.state().utilization(freed), 0.0);
+  EXPECT_GT(manager.state_snapshot().utilization(freed), 0.0);
   manager.release(first.app_id);
-  EXPECT_DOUBLE_EQ(manager.state().utilization(freed), 0.0);
-  EXPECT_EQ(manager.state().memory_used(freed), 0u);
-  EXPECT_EQ(manager.state().processes_hosted(freed), 0u);
+  const core::ResourceState state = manager.state_snapshot();
+  EXPECT_DOUBLE_EQ(state.utilization(freed), 0.0);
+  EXPECT_EQ(state.memory_used(freed), 0u);
+  EXPECT_EQ(state.processes_hosted(freed), 0u);
 
   const auto fourth = manager.admit(app);
   EXPECT_EQ(fourth.status, AdmitStatus::Admitted);
   EXPECT_EQ(fourth.mapping.mapping.tile_of(s0), freed);
 }
 
-TEST(RuntimeManager, StatsCountersAreExact) {
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
+TEST(SerialMode, StatsCountersAreExact) {
+  const auto platform = two_big_tiles();
   auto manager = make_manager(platform);
-  test::PipelineSpec spec;
-  spec.stages = 1;
-  spec.little_wcet_cc = 0;
-  const auto app = test::pipeline_app(spec);
+  const auto app = one_big_stage();
 
   const auto a = manager.admit(app);   // admitted
   const auto b = manager.admit(app);   // admitted
@@ -95,7 +116,7 @@ TEST(RuntimeManager, StatsCountersAreExact) {
   manager.release(a.app_id);
   manager.admit(app);                  // admitted again
 
-  const AdmissionStats& stats = manager.stats();
+  const AdmissionStats stats = manager.stats();
   EXPECT_EQ(stats.offered, 4u);
   EXPECT_EQ(stats.admitted, 3u);
   EXPECT_EQ(stats.rejected, 1u);
@@ -108,7 +129,7 @@ TEST(RuntimeManager, StatsCountersAreExact) {
   (void)b;
 }
 
-TEST(RuntimeManager, RejectedAppLeavesNoResidue) {
+TEST(SerialMode, RejectedAppLeavesNoResidue) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   // Impossible: 5 BIG-only stages on 2 BIG tiles.
@@ -116,20 +137,20 @@ TEST(RuntimeManager, RejectedAppLeavesNoResidue) {
   const auto result = manager.admit(app);
   EXPECT_EQ(result.status, AdmitStatus::Rejected);
   EXPECT_EQ(manager.running_count(), 0u);
+  const core::ResourceState state = manager.state_snapshot();
   for (const TileId tid : platform.tile_ids()) {
-    EXPECT_DOUBLE_EQ(manager.state().utilization(tid), 0.0);
+    EXPECT_DOUBLE_EQ(state.utilization(tid), 0.0);
   }
-  EXPECT_DOUBLE_EQ(manager.state().links().total_reserved(), 0.0);
+  EXPECT_DOUBLE_EQ(state.links().total_reserved(), 0.0);
 }
 
-TEST(RuntimeManager, RetryPolicyParksAndReadmitsAfterRelease) {
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
+TEST(SerialMode, RetryPolicyParksAndReadmitsAfterRelease) {
+  // admit() of a request the retry policy parks must return Waiting with
+  // the request's id: only this thread pumps, so blocking on the future
+  // would deadlock it.
+  const auto platform = two_big_tiles();
   auto manager = make_manager(platform, std::make_shared<RetryAdmission>(3));
-  test::PipelineSpec spec;
-  spec.stages = 1;
-  spec.little_wcet_cc = 0;
-  const auto app = test::pipeline_app(spec);
+  const auto app = one_big_stage();
 
   const auto a = manager.admit(app);
   const auto b = manager.admit(app);
@@ -139,62 +160,68 @@ TEST(RuntimeManager, RetryPolicyParksAndReadmitsAfterRelease) {
   // Saturated: the third request is parked, not rejected.
   const auto parked = manager.admit(app);
   EXPECT_EQ(parked.status, AdmitStatus::Waiting);
+  EXPECT_EQ(parked.request, b.request + 1);
   EXPECT_EQ(manager.waiting_count(), 1u);
   EXPECT_EQ(manager.stats().rejected, 0u);
 
-  // A release wakes the parked request; it must now be admitted.
-  manager.submit_release(a.app_id);
-  const auto resolved = manager.drain();
-  ASSERT_EQ(resolved.size(), 1u);
-  EXPECT_EQ(resolved[0].request, parked.request);
-  EXPECT_EQ(resolved[0].status, AdmitStatus::Admitted);
-  EXPECT_EQ(resolved[0].attempts, 2u);
+  // A release wakes the parked request; the next pump admits it.
+  manager.release(a.app_id);
+  manager.pump();
   EXPECT_EQ(manager.waiting_count(), 0u);
   EXPECT_EQ(manager.stats().retries, 1u);
+  EXPECT_EQ(manager.stats().admitted, 3u);
   EXPECT_EQ(manager.running_count(), 2u);
+  // The readmitted instance is labelled with the parked request's id.
+  const std::string label = "#" + std::to_string(parked.request);
+  std::size_t labelled = 0;
+  for (const AppId id : manager.running_ids()) {
+    const std::string name = manager.display_name(id);
+    if (name.size() >= label.size() &&
+        name.compare(name.size() - label.size(), label.size(), label) == 0) {
+      ++labelled;
+    }
+  }
+  EXPECT_EQ(labelled, 1u);
 }
 
-TEST(RuntimeManager, ReleaseConvenienceKeepsWokenOutcomesForNextDrain) {
-  // release(id) resolves a parked request as a side effect; its outcome —
-  // with the new app id — must surface from the next drain(), not vanish.
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
+TEST(SerialMode, WokenRequestResolvesItsFuture) {
+  // A parked request's outcome — with its new app id and both attempts —
+  // arrives through its future once a release wakes it and a pump runs.
+  const auto platform = two_big_tiles();
   auto manager = make_manager(platform, std::make_shared<RetryAdmission>(3));
-  test::PipelineSpec spec;
-  spec.stages = 1;
-  spec.little_wcet_cc = 0;
-  const auto app = test::pipeline_app(spec);
+  const auto app = one_big_stage();
 
   const auto a = manager.admit(app);
   const auto b = manager.admit(app);
   ASSERT_EQ(a.status, AdmitStatus::Admitted);
   ASSERT_EQ(b.status, AdmitStatus::Admitted);
-  const auto parked = manager.admit(app);
-  ASSERT_EQ(parked.status, AdmitStatus::Waiting);
+  auto parked = manager.submit(std::make_shared<kpn::Application>(app));
+  manager.pump();
+  ASSERT_FALSE(ready(parked));
 
-  manager.release(a.app_id);  // wakes and admits the parked request
+  manager.release(a.app_id);  // re-queues the parked request
+  EXPECT_FALSE(ready(parked));
+  manager.pump();
+  ASSERT_TRUE(ready(parked));
+  const AdmitOutcome outcome = parked.get();
+  EXPECT_EQ(outcome.status, AdmitStatus::Admitted);
+  EXPECT_EQ(outcome.attempts, 2u);
+  EXPECT_TRUE(outcome.app_id.valid());
   EXPECT_EQ(manager.running_count(), 2u);
-  const auto resolved = manager.drain();
-  ASSERT_EQ(resolved.size(), 1u);
-  EXPECT_EQ(resolved[0].request, parked.request);
-  EXPECT_EQ(resolved[0].status, AdmitStatus::Admitted);
-  EXPECT_TRUE(resolved[0].app_id.valid());
 }
 
-TEST(RuntimeManager, UnknownReleaseMidDrainIsReportedNotFatal) {
-  // An unknown-id release must not kill the event stream: the drain
-  // continues, the admission around it resolves normally, and the failed
-  // release surfaces as a recorded ReleaseError.
+TEST(SerialMode, UnknownReleaseBetweenAdmissionsIsReportedNotFatal) {
+  // An unknown-id release must not disturb the admissions around it: the
+  // queued admission resolves normally and the failed release surfaces as
+  // a recorded ReleaseError.
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
-  const auto app =
-      std::make_shared<kpn::Application>(test::pipeline_app({.stages = 1}));
-  const RequestId request = manager.submit(app);
-  manager.submit_release(AppId{99});
-  const auto resolved = manager.drain();
-  ASSERT_EQ(resolved.size(), 1u);
-  EXPECT_EQ(resolved[0].request, request);
-  EXPECT_EQ(resolved[0].status, AdmitStatus::Admitted);
+  auto future = manager.submit(
+      std::make_shared<kpn::Application>(test::pipeline_app({.stages = 1})));
+  EXPECT_FALSE(manager.release(AppId{99}));
+  manager.pump();
+  const AdmitOutcome outcome = future.get();
+  EXPECT_EQ(outcome.status, AdmitStatus::Admitted);
   EXPECT_EQ(manager.running_count(), 1u);
 
   EXPECT_EQ(manager.stats().release_errors, 1u);
@@ -205,42 +232,38 @@ TEST(RuntimeManager, UnknownReleaseMidDrainIsReportedNotFatal) {
   EXPECT_TRUE(manager.drain_release_errors().empty());  // drained once
 }
 
-TEST(RuntimeManager, ReleaseConvenienceIgnoresOtherQueuedReleaseErrors) {
-  // A bad release queued by someone else must not make an unrelated --
-  // and successful -- synchronous release() throw, nor lose its record.
+TEST(SerialMode, ReleaseSucceedsDespiteAnotherClientsBadRelease) {
+  // A bad release by someone else must not make an unrelated -- and
+  // successful -- release fail, nor lose its record.
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   const auto started = manager.admit(test::pipeline_app({.stages = 1}));
   ASSERT_EQ(started.status, AdmitStatus::Admitted);
 
-  manager.submit_release(AppId{99});  // someone else's blunder
-  // Processes both; this caller's release succeeded, so true.
+  EXPECT_FALSE(manager.release(AppId{99}));  // someone else's blunder
   EXPECT_TRUE(manager.release(started.app_id));
   EXPECT_EQ(manager.running_count(), 0u);  // this release did happen
   const auto errors = manager.drain_release_errors();
-  ASSERT_EQ(errors.size(), 1u);  // the stream error is still reported
+  ASSERT_EQ(errors.size(), 1u);  // the other error is still reported
   EXPECT_EQ(errors[0].id, AppId{99});
 }
 
-TEST(RuntimeManager, DoubleReleaseIsReportedError) {
+TEST(SerialMode, DoubleReleaseIsReportedError) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   const auto started = manager.admit(test::pipeline_app({.stages = 1}));
   ASSERT_EQ(started.status, AdmitStatus::Admitted);
 
-  manager.release(started.app_id);  // first release is fine
-  // Second release through the event stream: reported, not fatal.
-  manager.submit_release(started.app_id);
-  manager.drain();
+  EXPECT_TRUE(manager.release(started.app_id));  // first release is fine
+  // The second is reported — recorded error + counter + false, never a
+  // throw.
+  EXPECT_FALSE(manager.release(started.app_id));
   EXPECT_EQ(manager.stats().releases, 1u);
   EXPECT_EQ(manager.stats().release_errors, 1u);
   const auto errors = manager.drain_release_errors();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].id, started.app_id);
 
-  // The synchronous convenience reports the blunder the same way the
-  // queued path does — recorded error + counter + false, never a throw
-  // (one release contract across both managers and all entry points).
   EXPECT_FALSE(manager.release(started.app_id));
   EXPECT_EQ(manager.stats().release_errors, 2u);
   const auto again = manager.drain_release_errors();
@@ -248,85 +271,106 @@ TEST(RuntimeManager, DoubleReleaseIsReportedError) {
   EXPECT_EQ(again[0].id, started.app_id);
 }
 
-TEST(RuntimeManager, RetryPolicyGivesUpAfterMaxAttempts) {
+TEST(SerialMode, ReleaseWakesMoreParkedRequestsThanTheQueueHolds) {
+  // Nobody else drains the queue, so re-queueing three parked requests
+  // into a two-slot queue must pump inline instead of blocking release().
+  const auto platform = two_big_tiles();
+  ConcurrentRuntimeManager manager(
+      platform,
+      {.mapper = paper_mapper(),
+       .policy = std::make_shared<RetryAdmission>(5)},
+      {.workers = 0, .queue_capacity = 2, .max_batch = 2});
+  const auto app = one_big_stage();
+  const auto a = manager.admit(app);
+  ASSERT_EQ(a.status, AdmitStatus::Admitted);
+  ASSERT_EQ(manager.admit(app).status, AdmitStatus::Admitted);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(manager.admit(app).status, AdmitStatus::Waiting);
+  }
+  ASSERT_EQ(manager.waiting_count(), 3u);
+
+  EXPECT_TRUE(manager.release(a.app_id));
+  manager.pump();
+  // One woken request took the freed tile; the other two parked again.
+  EXPECT_EQ(manager.running_count(), 2u);
+  EXPECT_EQ(manager.waiting_count(), 2u);
+  EXPECT_EQ(manager.stats().retries, 3u);
+}
+
+TEST(SerialMode, RetryPolicyGivesUpAfterMaxAttempts) {
   const auto platform = test::small_platform();
   auto manager = make_manager(
       platform, std::make_shared<RetryAdmission>(/*max_attempts=*/2));
   // Never fits: 5 BIG-only stages on 2 BIG tiles.
-  const auto impossible =
-      test::pipeline_app({.stages = 5, .little_wcet_cc = 0});
-  const auto fits = test::pipeline_app({.stages = 1, .little_wcet_cc = 0});
-
-  const auto parked = manager.admit(impossible);
-  EXPECT_EQ(parked.status, AdmitStatus::Waiting);
+  auto parked = manager.submit(std::make_shared<kpn::Application>(
+      test::pipeline_app({.stages = 5, .little_wcet_cc = 0})));
+  manager.pump();
+  ASSERT_FALSE(ready(parked));
+  EXPECT_EQ(manager.waiting_count(), 1u);
 
   // Admit + release a small app to trigger a retry; the second (= max)
   // attempt fails and the request is finally rejected.
-  const auto small = manager.admit(fits);
+  const auto small =
+      manager.admit(test::pipeline_app({.stages = 1, .little_wcet_cc = 0}));
   ASSERT_EQ(small.status, AdmitStatus::Admitted);
-  manager.submit_release(small.app_id);
-  const auto resolved = manager.drain();
-  ASSERT_EQ(resolved.size(), 1u);
-  EXPECT_EQ(resolved[0].request, parked.request);
-  EXPECT_EQ(resolved[0].status, AdmitStatus::Rejected);
-  EXPECT_EQ(resolved[0].attempts, 2u);
+  manager.release(small.app_id);
+  manager.pump();
+  ASSERT_TRUE(ready(parked));
+  const AdmitOutcome outcome = parked.get();
+  EXPECT_EQ(outcome.status, AdmitStatus::Rejected);
+  EXPECT_EQ(outcome.attempts, 2u);
   EXPECT_EQ(manager.waiting_count(), 0u);
 }
 
-TEST(RuntimeManager, BatchedReleasesWakeParkedRequestsOnlyOnce) {
+TEST(SerialMode, BatchedReleasesWakeParkedRequestsOnlyOnce) {
   // A parked request needing BOTH BIG tiles must not burn its last retry
-  // attempt between two back-to-back releases: the wake is deferred until
-  // the end of the release batch.
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
+  // attempt between two back-to-back releases: releases only re-queue it,
+  // and the pump after the second release retries it once.
+  const auto platform = two_big_tiles();
   auto manager = make_manager(
       platform, std::make_shared<RetryAdmission>(/*max_attempts=*/2));
-  test::PipelineSpec small_spec;
-  small_spec.stages = 1;
-  small_spec.little_wcet_cc = 0;
-  const auto small = test::pipeline_app(small_spec);
-  const auto big = test::pipeline_app({.stages = 2, .little_wcet_cc = 0});
+  const auto small = one_big_stage();
 
   const auto a = manager.admit(small);
   const auto b = manager.admit(small);
   ASSERT_EQ(a.status, AdmitStatus::Admitted);
   ASSERT_EQ(b.status, AdmitStatus::Admitted);
-  const auto parked = manager.admit(big);  // needs both BIG tiles
-  ASSERT_EQ(parked.status, AdmitStatus::Waiting);
+  auto parked = manager.submit(std::make_shared<kpn::Application>(
+      test::pipeline_app({.stages = 2, .little_wcet_cc = 0})));
+  manager.pump();
+  ASSERT_FALSE(ready(parked));  // needs both BIG tiles
 
-  manager.submit_release(a.app_id);
-  manager.submit_release(b.app_id);
-  const auto resolved = manager.drain();
-  ASSERT_EQ(resolved.size(), 1u);
-  EXPECT_EQ(resolved[0].request, parked.request);
-  EXPECT_EQ(resolved[0].status, AdmitStatus::Admitted);
-  EXPECT_EQ(resolved[0].attempts, 2u);  // one retry, after the whole batch
+  manager.release(a.app_id);
+  manager.release(b.app_id);
+  manager.pump();
+  ASSERT_TRUE(ready(parked));
+  const AdmitOutcome outcome = parked.get();
+  EXPECT_EQ(outcome.status, AdmitStatus::Admitted);
+  EXPECT_EQ(outcome.attempts, 2u);  // one retry, after both releases
 }
 
-TEST(RuntimeManager, FifoEventStreamProcessedInOrder) {
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
+TEST(SerialMode, QueuedArrivalsAreProcessedInArrivalOrder) {
+  const auto platform = two_big_tiles();
   auto manager = make_manager(platform);
-  test::PipelineSpec spec;
-  spec.stages = 1;
-  spec.little_wcet_cc = 0;
-  const auto app = std::make_shared<kpn::Application>(test::pipeline_app(spec));
+  const auto app = std::make_shared<kpn::Application>(one_big_stage());
 
-  const RequestId r1 = manager.submit(app);
-  const RequestId r2 = manager.submit(app);
-  const RequestId r3 = manager.submit(app);  // no capacity by its turn
+  auto f1 = manager.submit(app);
+  auto f2 = manager.submit(app);
+  auto f3 = manager.submit(app);  // no capacity by its turn
   EXPECT_EQ(manager.queued_count(), 3u);
-  const auto outcomes = manager.drain();
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0].request, r1);
-  EXPECT_EQ(outcomes[1].request, r2);
-  EXPECT_EQ(outcomes[2].request, r3);
-  EXPECT_EQ(outcomes[0].status, AdmitStatus::Admitted);
-  EXPECT_EQ(outcomes[1].status, AdmitStatus::Admitted);
-  EXPECT_EQ(outcomes[2].status, AdmitStatus::Rejected);
+  manager.pump();
+  EXPECT_EQ(manager.queued_count(), 0u);
+  const AdmitOutcome r1 = f1.get();
+  const AdmitOutcome r2 = f2.get();
+  const AdmitOutcome r3 = f3.get();
+  EXPECT_LT(r1.request, r2.request);
+  EXPECT_LT(r2.request, r3.request);
+  EXPECT_EQ(r1.status, AdmitStatus::Admitted);
+  EXPECT_EQ(r2.status, AdmitStatus::Admitted);
+  EXPECT_EQ(r3.status, AdmitStatus::Rejected);
 }
 
-TEST(RuntimeManager, DeadlineMissNotAdmitted) {
+TEST(SerialMode, DeadlineMissNotAdmitted) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   const auto app = test::pipeline_app({.stages = 2});
@@ -335,12 +379,13 @@ TEST(RuntimeManager, DeadlineMissNotAdmitted) {
   EXPECT_EQ(result.status, AdmitStatus::DeadlineMiss);
   EXPECT_EQ(manager.running_count(), 0u);
   EXPECT_EQ(manager.stats().deadline_misses, 1u);
+  const core::ResourceState state = manager.state_snapshot();
   for (const TileId tid : platform.tile_ids()) {
-    EXPECT_DOUBLE_EQ(manager.state().utilization(tid), 0.0);
+    EXPECT_DOUBLE_EQ(state.utilization(tid), 0.0);
   }
 }
 
-TEST(RuntimeManager, ReleaseUnknownIdIsRecordedNotThrown) {
+TEST(SerialMode, ReleaseUnknownIdIsRecordedNotThrown) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   EXPECT_FALSE(manager.release(AppId{99}));
@@ -350,7 +395,7 @@ TEST(RuntimeManager, ReleaseUnknownIdIsRecordedNotThrown) {
   EXPECT_EQ(errors[0].id, AppId{99});
 }
 
-TEST(RuntimeManager, IdsAreUniqueAcrossRestarts) {
+TEST(SerialMode, IdsAreUniqueAcrossRestarts) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   test::PipelineSpec spec;
@@ -364,7 +409,7 @@ TEST(RuntimeManager, IdsAreUniqueAcrossRestarts) {
   EXPECT_NE(a.app_id, b.app_id);
 }
 
-TEST(RuntimeManager, MappingOfAndRunningIds) {
+TEST(SerialMode, MappingOfAndRunningIds) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform);
   const auto app = test::pipeline_app({.stages = 2});
@@ -377,7 +422,7 @@ TEST(RuntimeManager, MappingOfAndRunningIds) {
   EXPECT_THROW((void)manager.mapping_of(AppId{1234}), Error);
 }
 
-TEST(RuntimeManager, RejectWaitingResolvesParkedRequests) {
+TEST(SerialMode, RejectWaitingResolvesParkedRequests) {
   const auto platform = test::small_platform();
   auto manager = make_manager(platform, std::make_shared<RetryAdmission>(5));
   const auto impossible =

@@ -10,7 +10,6 @@
 #include "core/spatial_mapper.hpp"
 #include "runtime/concurrent_manager.hpp"
 #include "runtime/fleet.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "runtime/scenario.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -50,7 +49,15 @@ arch::Platform scenario_platform() {
   return p;
 }
 
-core::ResourceState replay(const RuntimeManager& manager,
+/// The admission engine in its deterministic serial mode.
+ConcurrentRuntimeManager make_manager(const arch::Platform& platform,
+                                      ManagerOptions options = {}) {
+  if (options.mapper == nullptr) options.mapper = paper_mapper();
+  return ConcurrentRuntimeManager(platform, std::move(options),
+                                  {.workers = 0});
+}
+
+core::ResourceState replay(const ConcurrentRuntimeManager& manager,
                            const arch::Platform& platform) {
   core::ResourceState replayed(platform);
   for (const AppId id : manager.running_ids()) {
@@ -136,7 +143,7 @@ TEST(LatencyReservoir, ManagerStatsStayBoundedUnderChurn) {
   // Through the real manager: sustained admit/release churn may not grow
   // the latency sample past the reservoir bound.
   const auto platform = test::small_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   test::PipelineSpec spec;
   spec.stages = 1;
   const auto app = test::pipeline_app(spec);
@@ -151,30 +158,11 @@ TEST(LatencyReservoir, ManagerStatsStayBoundedUnderChurn) {
   EXPECT_GT(stats.latency_percentile_us(95), 0.0);
 }
 
-// ------------------------------------------- release semantics (unified) --
-
-TEST(ReleaseSemantics, BothManagersRecordUnknownReleaseIdentically) {
-  const auto platform = test::small_platform();
-
-  RuntimeManager serial(platform, {.mapper = paper_mapper()});
-  EXPECT_FALSE(serial.release(AppId{7}));
-  EXPECT_EQ(serial.stats().release_errors, 1u);
-  ASSERT_EQ(serial.drain_release_errors().size(), 1u);
-
-  ConcurrentOptions options;
-  options.workers = 0;
-  ConcurrentRuntimeManager concurrent(platform,
-                                      {.mapper = paper_mapper()}, options);
-  EXPECT_FALSE(concurrent.release(AppId{7}));
-  EXPECT_EQ(concurrent.stats().release_errors, 1u);
-  ASSERT_EQ(concurrent.drain_release_errors().size(), 1u);
-}
-
 // ------------------------------------------------------- mode switches ----
 
 TEST(ModeSwitch, InPlaceSwitchKeepsInstanceId) {
   const auto platform = workload::make_paper_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   const auto qpsk = workload::hiperlan2_mode_variant(
       workload::Hiperlan2Mode::QPSK);
   const auto started = manager.admit(qpsk);
@@ -197,12 +185,13 @@ TEST(ModeSwitch, InPlaceSwitchKeepsInstanceId) {
 
   // Bookkeeping survives the switch: replaying the surviving commits
   // reproduces the live state.
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
 TEST(ModeSwitch, SweepsAllModesInPlace) {
   const auto platform = workload::make_paper_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   const auto first = workload::hiperlan2_mode_variant(
       workload::kHiperlan2Modes.front().mode);
   const auto started = manager.admit(first);
@@ -215,7 +204,8 @@ TEST(ModeSwitch, SweepsAllModesInPlace) {
     ASSERT_TRUE(out.status == SwitchStatus::InPlace ||
                 out.status == SwitchStatus::Replanned)
         << workload::kHiperlan2Modes[i].name << ": " << out.message;
-    EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)))
+    EXPECT_TRUE(
+        manager.state_snapshot().approx_equals(replay(manager, platform)))
         << workload::kHiperlan2Modes[i].name;
   }
   EXPECT_EQ(manager.stats().mode_switches,
@@ -224,12 +214,12 @@ TEST(ModeSwitch, SweepsAllModesInPlace) {
 
 TEST(ModeSwitch, RollsBackOnMisfitKeepingOldMode) {
   const auto platform = test::small_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   test::PipelineSpec spec;
   spec.stages = 2;
   const auto started = manager.admit(test::pipeline_app(spec));
   ASSERT_EQ(started.status, AdmitStatus::Admitted) << started.mapping.failure;
-  const core::ResourceState before = manager.state();
+  const core::ResourceState before = manager.state_snapshot();
 
   // The "new mode" demands more than a period on every tile type: no
   // feasible mapping exists, so the switch must keep the old mode and
@@ -245,13 +235,14 @@ TEST(ModeSwitch, RollsBackOnMisfitKeepingOldMode) {
   EXPECT_EQ(manager.running_count(), 1u);
   EXPECT_EQ(manager.stats().switches_rolled_back, 1u);
   // Old graph still booked, bit-for-bit.
-  EXPECT_TRUE(manager.state().approx_equals(before));
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state_snapshot().approx_equals(before));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
 TEST(ModeSwitch, UnknownIdIsRecordedNotFatal) {
   const auto platform = test::small_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   const auto next =
       std::make_shared<kpn::Application>(test::pipeline_app({.stages = 1}));
   const SwitchOutcome out = manager.switch_mode(AppId{99}, next);
@@ -261,11 +252,11 @@ TEST(ModeSwitch, UnknownIdIsRecordedNotFatal) {
 
 TEST(ModeSwitch, DeadlineMissAbortsKeepingOldMode) {
   const auto platform = workload::make_paper_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   const auto started = manager.admit(
       workload::hiperlan2_mode_variant(workload::Hiperlan2Mode::QPSK));
   ASSERT_EQ(started.status, AdmitStatus::Admitted) << started.mapping.failure;
-  const core::ResourceState before = manager.state();
+  const core::ResourceState before = manager.state_snapshot();
   const std::string old_name = manager.app_of(started.app_id)->name();
 
   // A deadline no planner can meet: the switch must abort before its
@@ -279,8 +270,9 @@ TEST(ModeSwitch, DeadlineMissAbortsKeepingOldMode) {
   EXPECT_EQ(manager.app_of(started.app_id)->name(), old_name);
   EXPECT_EQ(manager.stats().switch_deadline_misses, 1u);
   EXPECT_EQ(manager.stats().mode_switches, 1u);
-  EXPECT_TRUE(manager.state().approx_equals(before));
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(manager.state_snapshot().approx_equals(before));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 
   // A generous deadline changes nothing about the success path.
   const SwitchOutcome ok =
@@ -289,7 +281,8 @@ TEST(ModeSwitch, DeadlineMissAbortsKeepingOldMode) {
               ok.status == SwitchStatus::Replanned)
       << ok.message;
   EXPECT_EQ(manager.stats().switch_deadline_misses, 1u);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
 TEST(ModeSwitch, CommittedSwitchWakesParkedRequests) {
@@ -298,9 +291,8 @@ TEST(ModeSwitch, CommittedSwitchWakesParkedRequests) {
   const auto platform =
       test::small_platform(200'000'000, 200'000'000, 64 * 1024,
                            /*io_slots=*/4);
-  RuntimeManager manager(
-      platform, {.mapper = paper_mapper(),
-                 .policy = std::make_shared<RetryAdmission>()});
+  auto manager =
+      make_manager(platform, {.policy = std::make_shared<RetryAdmission>()});
   test::PipelineSpec wide;
   wide.stages = 4;         // one ~0.9 stage per compute tile: platform full
   wide.big_wcet_cc = 700;
@@ -310,8 +302,9 @@ TEST(ModeSwitch, CommittedSwitchWakesParkedRequests) {
 
   test::PipelineSpec second = wide;
   second.stages = 1;
-  const auto parked = manager.admit(test::pipeline_app(second));
-  ASSERT_EQ(parked.status, AdmitStatus::Waiting);
+  auto parked = manager.submit(
+      std::make_shared<kpn::Application>(test::pipeline_app(second)));
+  manager.pump();
   EXPECT_EQ(manager.waiting_count(), 1u);
 
   // The narrow mode keeps S0 (name-matched, stays pinned) and drops the
@@ -329,16 +322,17 @@ TEST(ModeSwitch, CommittedSwitchWakesParkedRequests) {
       << out.message;
 
   EXPECT_EQ(manager.waiting_count(), 0u);
-  const auto outcomes = manager.drain();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].request, parked.request);
-  EXPECT_EQ(outcomes[0].status, AdmitStatus::Admitted);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  manager.pump();
+  const AdmitOutcome outcome = parked.get();
+  EXPECT_EQ(outcome.status, AdmitStatus::Admitted);
+  EXPECT_EQ(outcome.attempts, 2u);
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
 TEST(ModeSwitch, DisplayNamesDistinguishCollidingGraphNames) {
   const auto platform = scenario_platform();
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   const auto app = workload::hiperlan2_mode_variant(
       workload::Hiperlan2Mode::BPSK);
   const auto a = manager.admit(app);
@@ -358,7 +352,7 @@ TEST(Preemption, HighPriorityArrivalEvictsAndVictimIsReparked) {
   const auto platform =
       test::small_platform(200'000'000, 200'000'000, 64 * 1024,
                            /*io_slots=*/4);
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   test::PipelineSpec spec;
   spec.stages = 2;
   spec.big_wcet_cc = 700;  // each stage ~0.9 of a BIG/LITTLE tile
@@ -374,26 +368,28 @@ TEST(Preemption, HighPriorityArrivalEvictsAndVictimIsReparked) {
   // The high-priority arrival does not fit — but outranks the residents.
   const auto high = manager.admit(app, 0.0, RequestClass{10, false});
   ASSERT_EQ(high.status, AdmitStatus::Admitted) << high.mapping.failure;
-  const AdmissionStats& stats = manager.stats();
+  const AdmissionStats stats = manager.stats();
   EXPECT_EQ(stats.preemption_grants, 1u);
   EXPECT_GE(stats.preemption_evictions, 1u);
   // Victims re-entered the stream as parked requests.
   EXPECT_EQ(manager.waiting_count(), stats.preemption_evictions);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 
   // Releasing the high-priority app wakes and readmits a victim.
   const std::uint64_t admitted_before = manager.stats().admitted;
   manager.release(high.app_id);
-  manager.drain();
+  manager.pump();
   EXPECT_GT(manager.stats().admitted, admitted_before);
-  EXPECT_TRUE(manager.state().approx_equals(replay(manager, platform)));
+  EXPECT_TRUE(
+      manager.state_snapshot().approx_equals(replay(manager, platform)));
 }
 
 TEST(Preemption, NonPreemptibleAndEqualPriorityAreSafe) {
   const auto platform =
       test::small_platform(200'000'000, 200'000'000, 64 * 1024,
                            /*io_slots=*/4);
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
+  auto manager = make_manager(platform);
   test::PipelineSpec spec;
   spec.stages = 2;
   spec.big_wcet_cc = 700;
@@ -410,39 +406,6 @@ TEST(Preemption, NonPreemptibleAndEqualPriorityAreSafe) {
   EXPECT_EQ(rejected.status, AdmitStatus::Rejected);
   EXPECT_EQ(manager.stats().preemption_grants, 0u);
   EXPECT_EQ(manager.running_count(), 2u);
-}
-
-TEST(Preemption, ConcurrentManagerEvictsUnderTheStateLock) {
-  const auto platform =
-      test::small_platform(200'000'000, 200'000'000, 64 * 1024,
-                           /*io_slots=*/4);
-  ConcurrentOptions options;
-  options.workers = 0;  // deterministic inline pump
-  ConcurrentRuntimeManager manager(platform, {.mapper = paper_mapper()},
-                                   options);
-  test::PipelineSpec spec;
-  spec.stages = 2;
-  spec.big_wcet_cc = 700;
-  spec.little_wcet_cc = 700;
-  const auto app = test::pipeline_app(spec);
-
-  ASSERT_EQ(manager.admit(app).status, AdmitStatus::Admitted);
-  ASSERT_EQ(manager.admit(app).status, AdmitStatus::Admitted);
-  const auto high = manager.admit(app, 0.0, RequestClass{10, false});
-  ASSERT_EQ(high.status, AdmitStatus::Admitted) << high.mapping.failure;
-  const AdmissionStats stats = manager.stats();
-  EXPECT_EQ(stats.preemption_grants, 1u);
-  EXPECT_GE(stats.preemption_evictions, 1u);
-  EXPECT_EQ(manager.waiting_count(), stats.preemption_evictions);
-
-  // Replay oracle across the eviction.
-  core::ResourceState replayed(platform);
-  for (const AppId id : manager.running_ids()) {
-    core::commit_mapping(replayed, *manager.app_of(id),
-                         manager.mapping_of(id));
-  }
-  EXPECT_TRUE(manager.state_snapshot().approx_equals(replayed));
-  manager.reject_waiting();
 }
 
 // ------------------------------------------------------ scenario driver ---
@@ -468,7 +431,7 @@ TEST(ScenarioDriver, GeneratedScheduleIsDeterministic) {
   }
 }
 
-TEST(ScenarioDriver, RunsModeChurnOnSerialManagerWithCleanOracle) {
+TEST(ScenarioDriver, RunsModeChurnWithCleanOracle) {
   const auto platform = scenario_platform();
   ScheduleParams params;
   params.waves = 12;
@@ -476,8 +439,8 @@ TEST(ScenarioDriver, RunsModeChurnOnSerialManagerWithCleanOracle) {
   params.hiperlan_fraction = 0.5;
   const Schedule schedule = make_mode_churn_schedule(params, 20080310);
 
-  RuntimeManager manager(platform, {.mapper = paper_mapper()});
-  SerialTarget target(manager);
+  auto manager = make_manager(platform);
+  ConcurrentTarget target(manager);
   ScenarioDriver driver(target, schedule);
   const ScenarioStats stats = driver.run();
 
@@ -501,13 +464,13 @@ TEST(ScenarioDriver, NaiveReplayNeverBeatsInPlaceOnLosses) {
   params.hiperlan_fraction = 0.5;
   const Schedule schedule = make_mode_churn_schedule(params, 20080310);
 
-  RuntimeManager inplace_mgr(platform, {.mapper = paper_mapper()});
-  SerialTarget inplace_target(inplace_mgr);
+  auto inplace_mgr = make_manager(platform);
+  ConcurrentTarget inplace_target(inplace_mgr);
   const ScenarioStats inplace =
       ScenarioDriver(inplace_target, schedule).run();
 
-  RuntimeManager naive_mgr(platform, {.mapper = paper_mapper()});
-  SerialTarget naive_target(naive_mgr);
+  auto naive_mgr = make_manager(platform);
+  ConcurrentTarget naive_target(naive_mgr);
   ScenarioOptions naive_options;
   naive_options.naive_switch = true;
   const ScenarioStats naive =
@@ -521,26 +484,6 @@ TEST(ScenarioDriver, NaiveReplayNeverBeatsInPlaceOnLosses) {
             inplace.admitted - inplace.rejected);
 }
 
-TEST(ScenarioDriver, DrivesConcurrentManagerInPumpMode) {
-  const auto platform = scenario_platform();
-  ScheduleParams params;
-  params.waves = 8;
-  params.arrivals_per_wave = 2;
-  params.hiperlan_fraction = 0.5;
-  const Schedule schedule = make_mode_churn_schedule(params, 99);
-
-  ConcurrentOptions options;
-  options.workers = 0;
-  ConcurrentRuntimeManager manager(platform, {.mapper = paper_mapper()},
-                                   options);
-  ConcurrentTarget target(manager);
-  const ScenarioStats stats = ScenarioDriver(target, schedule).run();
-
-  EXPECT_TRUE(stats.oracle_ok);
-  EXPECT_EQ(stats.arrivals, schedule.slots);
-  EXPECT_GT(stats.switches, 0u);
-}
-
 TEST(ScenarioDriver, EngineAndFleetOfOneReplayIdentically) {
   // Differential test: without priority classes the pump-mode engine and
   // a one-platform fleet (dispatcher inline, background defrag off) must
@@ -552,15 +495,7 @@ TEST(ScenarioDriver, EngineAndFleetOfOneReplayIdentically) {
     params.high_priority_fraction = 0.0;
     const Schedule schedule = make_mode_churn_schedule(params, seed);
 
-    RuntimeManager serial(platform, {.mapper = paper_mapper()});
-    SerialTarget serial_target(serial);
-    const ScenarioStats serial_run =
-        ScenarioDriver(serial_target, schedule).run();
-
-    ConcurrentOptions pump;
-    pump.workers = 0;
-    ConcurrentRuntimeManager engine(platform, {.mapper = paper_mapper()},
-                                    pump);
+    auto engine = make_manager(platform);
     ConcurrentTarget engine_target(engine);
     const ScenarioStats engine_run =
         ScenarioDriver(engine_target, schedule).run();
@@ -578,8 +513,6 @@ TEST(ScenarioDriver, EngineAndFleetOfOneReplayIdentically) {
     EXPECT_TRUE(engine_run.oracle_ok) << "seed " << seed;
     EXPECT_TRUE(fleet_run.oracle_ok) << "seed " << seed;
     EXPECT_GT(engine_run.admitted, 0u) << "seed " << seed;
-    EXPECT_TRUE(outcomes_identical(serial_run.wave_log, engine_run.wave_log))
-        << "seed " << seed;
     EXPECT_TRUE(outcomes_identical(engine_run.wave_log, fleet_run.wave_log))
         << "seed " << seed;
   }

@@ -9,7 +9,6 @@
 #include "core/resource_state.hpp"
 #include "core/spatial_mapper.hpp"
 #include "runtime/concurrent_manager.hpp"
-#include "runtime/runtime_manager.hpp"
 #include "shapes/library.hpp"
 #include "shapes/shape.hpp"
 #include "test_helpers.hpp"
@@ -264,11 +263,11 @@ TEST(ShapeLibrary, SkeletonKeyIgnoresNamesButNotStructure) {
   EXPECT_FALSE(SkeletonKey::of(same1) == SkeletonKey::of(other));
 }
 
-TEST(RuntimeManagerShapes, MissLearnsThenHitTransfersOutcome) {
+TEST(SerialModeShapes, MissLearnsThenHitTransfersOutcome) {
   const auto platform = pe_mesh(4, 4);
   auto shapes = std::make_shared<ShapeLibrary>(platform);
-  runtime::RuntimeManager manager(platform,
-                                  {.mapper = paper_mapper(), .shapes = shapes});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = paper_mapper(), .shapes = shapes}, {.workers = 0});
   const auto app = pe_chain(3, "serial");
 
   const auto first = manager.admit(app);
@@ -302,13 +301,13 @@ TEST(RuntimeManagerShapes, MissLearnsThenHitTransfersOutcome) {
   EXPECT_TRUE(replay.success);
 }
 
-TEST(RuntimeManagerShapes, TranslatedHitAvoidsOccupiedTiles) {
+TEST(SerialModeShapes, TranslatedHitAvoidsOccupiedTiles) {
   // Single-slot tiles: the second instance cannot reuse the first one's
   // tiles, so the hit must re-anchor the shape elsewhere.
   const auto platform = pe_mesh(4, 4, /*slots=*/1);
   auto shapes = std::make_shared<ShapeLibrary>(platform);
-  runtime::RuntimeManager manager(platform,
-                                  {.mapper = paper_mapper(), .shapes = shapes});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = paper_mapper(), .shapes = shapes}, {.workers = 0});
   const auto app = pe_chain(2, "translated");
 
   const auto first = manager.admit(app);
@@ -323,12 +322,12 @@ TEST(RuntimeManagerShapes, TranslatedHitAvoidsOccupiedTiles) {
   }
 }
 
-TEST(RuntimeManagerShapes, PinnedFixturesCollapseAnchors) {
+TEST(SerialModeShapes, PinnedFixturesCollapseAnchors) {
   const auto platform =
       test::small_platform(200'000'000, 200'000'000, 64 * 1024, /*io_slots=*/4);
   auto shapes = std::make_shared<ShapeLibrary>(platform);
-  runtime::RuntimeManager manager(platform,
-                                  {.mapper = paper_mapper(), .shapes = shapes});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = paper_mapper(), .shapes = shapes}, {.workers = 0});
   test::PipelineSpec spec;
   spec.stages = 1;
   spec.little_wcet_cc = 0;
@@ -344,11 +343,11 @@ TEST(RuntimeManagerShapes, PinnedFixturesCollapseAnchors) {
   EXPECT_LE(manager.stats().shape_anchor_probes, 8u);
 }
 
-TEST(RuntimeManagerShapes, DefragAndModeSwitchBypassTheLibrary) {
+TEST(SerialModeShapes, DefragAndModeSwitchBypassTheLibrary) {
   const auto platform = pe_mesh(4, 4);
   auto shapes = std::make_shared<ShapeLibrary>(platform);
-  runtime::RuntimeManager manager(platform,
-                                  {.mapper = paper_mapper(), .shapes = shapes});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = paper_mapper(), .shapes = shapes}, {.workers = 0});
   const auto app = pe_chain(3, "bypass");
 
   const auto a = manager.admit(app);

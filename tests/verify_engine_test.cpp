@@ -10,7 +10,7 @@
 #include "core/spatial_mapper.hpp"
 #include "csdf/buffer_sizing.hpp"
 #include "core/csdf_expansion.hpp"
-#include "runtime/runtime_manager.hpp"
+#include "runtime/concurrent_manager.hpp"
 #include "test_helpers.hpp"
 #include "verify/engine.hpp"
 #include "verify/signature.hpp"
@@ -351,13 +351,14 @@ TEST(EngineConcurrency, SharedCacheUnderContention) {
   EXPECT_EQ(engine.cache_size(), variants.size());
 }
 
-// --- engine stats surface through the runtime managers ------------------
+// --- engine stats surface through the runtime manager -------------------
 
 TEST(RuntimeIntegration, RepeatAdmissionsHitTheSharedCache) {
   const auto platform = test::small_platform();
   const auto app = test::pipeline_app({.stages = 2});
-  runtime::RuntimeManager manager(
-      platform, {.mapper = std::make_shared<core::SpatialMapper>()});
+  runtime::ConcurrentRuntimeManager manager(
+      platform, {.mapper = std::make_shared<core::SpatialMapper>()},
+      {.workers = 0});
 
   const auto first = manager.admit(app);
   ASSERT_EQ(first.status, runtime::AdmitStatus::Admitted);
