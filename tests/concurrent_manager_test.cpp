@@ -3,6 +3,7 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
