@@ -111,24 +111,6 @@ CheckResult check_state(const core::ResourceState& live,
     }
   }
 
-  // Journal-window consistency: the ring holds the entries taking the
-  // state from journal_start_version() to version(), so the window may
-  // never exceed the ring capacity or run ahead of the state.
-  if (live.journal_enabled()) {
-    const std::uint64_t version = live.version();
-    const std::uint64_t start = live.journal_start_version();
-    if (start > version) {
-      add_issue(result, where,
-                "journal window starts at version " + std::to_string(start) +
-                    " ahead of state version " + std::to_string(version));
-    } else if (version - start > live.journal_capacity()) {
-      add_issue(result, where,
-                "journal window [" + std::to_string(start) + ", " +
-                    std::to_string(version) + ") wider than its ring (" +
-                    std::to_string(live.journal_capacity()) + " entries)");
-    }
-  }
-
   return result;
 }
 

@@ -32,9 +32,8 @@ struct CheckResult {
 /// the very mutators the incremental accounting uses. Compares the replay
 /// against @p live: utilisation and link load within a relative 1e-9
 /// (float sums are order-dependent across concurrent histories), memory
-/// and process counts exactly. Also checks the journal window invariant
-/// (the ring covers at most journal-capacity trailing versions) and that
-/// no tile is booked outside [0, 1] utilisation or beyond its memory.
+/// and process counts exactly. Also checks that no tile is booked outside
+/// [0, 1] utilisation or beyond its memory.
 /// @p where tags the calling boundary ("commit", "release", ...) in the
 /// issue messages.
 [[nodiscard]] CheckResult check_state(const core::ResourceState& live,

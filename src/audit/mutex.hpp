@@ -25,7 +25,6 @@ enum class LockRank : int {
   kManagerPump = 30,     ///< ConcurrentRuntimeManager::pump_mutex_.
   kManagerShard = 35,    ///< ConcurrentRuntimeManager::Shard::mutex.
   kShapeLibrary = 40,    ///< shapes::ShapeLibrary::mutex_.
-  kManagerObserver = 45, ///< ConcurrentRuntimeManager::observer_mutex_.
   kManagerState = 50,    ///< ConcurrentRuntimeManager::state_mutex_.
   kPortfolioRace = 55,   ///< runtime::PortfolioRace::mutex_.
 

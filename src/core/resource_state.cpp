@@ -48,11 +48,8 @@ ResourceState& ResourceState::operator=(const ResourceState& other) {
   memory_used_ = other.memory_used_;
   processes_ = other.processes_;
   links_ = other.links_;  // LinkLoad assignment keeps our own listener
-  // The value jumped arbitrarily: our old journal entries no longer
-  // describe transitions of this content, so observers synced with *us*
-  // must fall back to a full copy.
+  // The value jumped arbitrarily: copies synced with *us* are stale now.
   ++version_;
-  journal_start_version_ = version_;
   synced_from_ = &other;
   synced_uid_ = other.uid_;
   synced_version_ = other.version_;
@@ -101,15 +98,14 @@ void ResourceState::reserve_tile(TileId tile, double utilization,
   require(utilization >= 0.0, "negative utilization reservation");
   if (!tile_fits(tile, utilization, memory, processes)) {
     // Branch before formatting: building the message eagerly would cost a
-    // heap allocation per reserve on the journal-replay hot path.
+    // heap allocation per reserve on the commit hot path.
     throw Error("tile over-reservation on '" + platform_->tile(tile).name +
                 "'");
   }
   utilization_[tile.value()] += utilization;
   memory_used_[tile.value()] += memory;
   processes_[tile.value()] += processes;
-  note_mutation({JournalEntry::Op::ReserveTile, tile.value(), utilization,
-                 memory, processes});
+  note_mutation();
 }
 
 void ResourceState::release_tile(TileId tile, double utilization,
@@ -122,8 +118,7 @@ void ResourceState::release_tile(TileId tile, double utilization,
   m = m > memory ? m - memory : 0;
   std::uint32_t& p = processes_[tile.value()];
   p = p > processes ? p - processes : 0;
-  note_mutation({JournalEntry::Op::ReleaseTile, tile.value(), utilization,
-                 memory, processes});
+  note_mutation();
 }
 
 void ResourceState::saturate_tile(TileId tile) {
@@ -131,7 +126,7 @@ void ResourceState::saturate_tile(TileId tile) {
   utilization_[tile.value()] = 1.0;
   memory_used_[tile.value()] = platform_->tile(tile).memory_bytes;
   processes_[tile.value()] = platform_->tile(tile).process_slots;
-  note_mutation({JournalEntry::Op::SaturateTile, tile.value(), 0.0, 0, 0});
+  note_mutation();
 }
 
 bool ResourceState::approx_equals(const ResourceState& other,
@@ -156,79 +151,9 @@ std::size_t ResourceState::idle_tile_count() const {
   return idle;
 }
 
-void ResourceState::enable_journal(std::size_t capacity) {
-  require(capacity > 0, "ResourceState: journal capacity must be positive");
-  journal_.assign(capacity, JournalEntry{});
-  journal_capacity_ = capacity;
-  journal_start_version_ = version_;  // journal starts out empty
-}
-
-void ResourceState::note_mutation(const JournalEntry& entry) {
-  if (journal_capacity_ > 0) {
-    journal_[version_ % journal_capacity_] = entry;
-    if (version_ - journal_start_version_ >= journal_capacity_) {
-      // The ring wrapped: the slot just written held the oldest entry.
-      journal_start_version_ = version_ + 1 - journal_capacity_;
-    }
-  }
+void ResourceState::note_mutation() {
   ++version_;
   synced_from_ = nullptr;
-}
-
-void ResourceState::apply(const JournalEntry& entry) {
-  switch (entry.op) {
-    case JournalEntry::Op::ReserveTile:
-      reserve_tile(TileId{entry.index}, entry.amount, entry.memory,
-                   entry.processes);
-      break;
-    case JournalEntry::Op::ReleaseTile:
-      release_tile(TileId{entry.index}, entry.amount, entry.memory,
-                   entry.processes);
-      break;
-    case JournalEntry::Op::SaturateTile:
-      saturate_tile(TileId{entry.index});
-      break;
-    case JournalEntry::Op::LinkReserve:
-      links_.reserve(LinkId{entry.index}, entry.amount);
-      break;
-    case JournalEntry::Op::LinkRelease:
-      links_.release(LinkId{entry.index}, entry.amount);
-      break;
-  }
-}
-
-void ResourceState::refresh_snapshot_into(ResourceState& scratch) const {
-  require(&scratch != this, "refresh_snapshot_into: scratch is the source");
-  const bool delta_ok = scratch.synced_from_ == this &&
-                        scratch.synced_uid_ == uid_ &&
-                        journal_capacity_ > 0 &&
-                        scratch.synced_version_ >= journal_start_version_ &&
-                        scratch.synced_version_ <= version_;
-  if (!delta_ok) {
-    scratch = *this;  // operator= re-arms the sync token
-    ++refresh_stats_.full_copies;
-    return;
-  }
-  // Replay [scratch.synced_version_, version_) through the same public
-  // mutators that produced the entries. By induction the scratch tracks the
-  // source bit-for-bit: identical pre-state, identical arguments, identical
-  // code path. Replay clears the scratch's token, so re-arm it afterwards.
-  for (std::uint64_t v = scratch.synced_version_; v < version_; ++v) {
-    scratch.apply(journal_[v % journal_capacity_]);
-    ++refresh_stats_.entries_replayed;
-  }
-  scratch.synced_from_ = this;
-  scratch.synced_uid_ = uid_;
-  scratch.synced_version_ = version_;
-  ++refresh_stats_.delta_refreshes;
-}
-
-void ResourceState::on_link_reserve(LinkId link, double demand) {
-  note_mutation({JournalEntry::Op::LinkReserve, link.value(), demand, 0, 0});
-}
-
-void ResourceState::on_link_release(LinkId link, double demand) {
-  note_mutation({JournalEntry::Op::LinkRelease, link.value(), demand, 0, 0});
 }
 
 void ResourceState::check_tile(TileId tile) const {

@@ -65,14 +65,14 @@ void LinkLoad::reserve(LinkId link, double demand) {
   require(demand >= 0, "negative link demand");
   require(fits(link, demand), "link over-reservation");
   reserved_[link.value()] += demand;
-  if (listener_ != nullptr) listener_->on_link_reserve(link, demand);
+  if (listener_ != nullptr) listener_->on_link_change();
 }
 
 void LinkLoad::release(LinkId link, double demand) {
   require(demand >= 0, "negative link demand");
   double& r = reserved_[link.value()];
   r = r > demand ? r - demand : 0.0;
-  if (listener_ != nullptr) listener_->on_link_release(link, demand);
+  if (listener_ != nullptr) listener_->on_link_change();
 }
 
 void LinkLoad::reserve_path(const Path& path, double demand) {

@@ -28,19 +28,19 @@ struct Path {
   [[nodiscard]] bool is_intra_tile() const { return links.empty(); }
 };
 
-/// Observer of individual link reservation changes.
+/// Observer of link reservation changes.
 ///
 /// core::ResourceState registers itself on its own LinkLoad so mutations
-/// made through links() (step-3 route reservations, path releases) reach
-/// its version counter and delta journal. The listener pointer is
-/// deliberately dropped by the copy constructor and left untouched by copy
-/// assignment: a snapshot must never journal into its source, and an
-/// overwritten scratch must keep observing itself.
+/// made through links() (step-3 route reservations, path releases) bump
+/// its version counter. The listener pointer is deliberately dropped by the
+/// copy constructor and left untouched by copy assignment: a snapshot's
+/// mutations must never bump its source's version, and an overwritten
+/// scratch must keep observing itself.
 class LinkLoadListener {
  public:
   virtual ~LinkLoadListener() = default;
-  virtual void on_link_reserve(LinkId link, double demand) = 0;
-  virtual void on_link_release(LinkId link, double demand) = 0;
+  /// Called after every successful reserve() or release().
+  virtual void on_link_change() = 0;
 };
 
 /// Guaranteed-throughput reservation state of all NoC links.

@@ -192,9 +192,6 @@ struct AdmitOutcome {
 struct ReleaseError {
   AppId id;
   std::string message;
-  /// Request id of the failed release; 0 for a direct release() call, the
-  /// only release path the engine has.
-  RequestId request = 0;
 };
 
 /// Bounded latency sample: exact while fewer than kCapacity values were
@@ -289,15 +286,6 @@ struct AdmissionStats {
   std::uint64_t snapshot_reuses = 0;
 
   // -- admission hot path (see docs/architecture.md) -----------------------
-  /// Scratch refreshes served by replaying the live state's mutation
-  /// journal — O(changes since last sync) instead of the O(platform) full
-  /// copy (see core::ResourceState::refresh_snapshot_into).
-  std::uint64_t snapshot_delta_refreshes = 0;
-  /// Refreshes that fell back to a full copy: first sync of a scratch,
-  /// journal wrap, or a scratch mutated since it last synced.
-  std::uint64_t snapshot_full_copies = 0;
-  /// Journal entries replayed across all delta refreshes.
-  std::uint64_t journal_entries_replayed = 0;
   /// Commits that skipped the full mapping_fits re-validation because the
   /// live state's version had not moved since the plan was pre-validated
   /// on its snapshot.

@@ -36,13 +36,8 @@ ConcurrentRuntimeManager::ConcurrentRuntimeManager(
       preemption_(manager.preemption),
       shapes_(std::move(manager.shapes)),
       state_(platform),
-      observer_scratch_(platform),
       pump_scratch_(platform),
       queue_(options_.queue_capacity) {
-  // Record mutations of the live state in a bounded journal so worker
-  // scratches refresh in O(changes) and commits whose snapshot version
-  // still matches skip re-validation entirely.
-  state_.enable_journal();
   portfolio_ = make_portfolio(manager);
   require(options_.shards >= 1, "shards must be >= 1");
   require(options_.max_batch >= 1, "max_batch must be >= 1");
@@ -165,10 +160,10 @@ AdmitOutcome ConcurrentRuntimeManager::admit(const kpn::Application& app,
 }
 
 void ConcurrentRuntimeManager::pump() RTSM_NO_THREAD_SAFETY_ANALYSIS {
-  // Reuse the manager-level pump scratch: the delta-refresh fast path
-  // needs a buffer that survives the pump() call that armed its version
-  // token, and inline mode (workers == 0) pumps once per admit. A
-  // concurrent pump (an extra thread helping a live pool) takes a local
+  // Reuse the manager-level pump scratch: inline mode (workers == 0)
+  // pumps once per admit, and a buffer that outlives the call keeps its
+  // vector capacity, so every snapshot copy-assigns without allocating.
+  // A concurrent pump (an extra thread helping a live pool) takes a local
   // scratch instead of contending.
   audit::UniqueLock pump_lock(pump_mutex_, std::try_to_lock);
   std::optional<core::ResourceState> local;
@@ -339,7 +334,7 @@ void ConcurrentRuntimeManager::snapshot_state_into(
   const auto start = std::chrono::steady_clock::now();
   {
     const audit::LockGuard lock(state_mutex_);
-    state_.refresh_snapshot_into(out);
+    out = state_;  // re-arms out's sync token
   }
   snapshot_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
   snapshot_reuses_.fetch_add(1, std::memory_order_relaxed);
@@ -875,17 +870,8 @@ void ConcurrentRuntimeManager::shutdown() {
 }
 
 core::ResourceState ConcurrentRuntimeManager::state_snapshot() const {
-  // Observer fast path: refresh the shared observer scratch (O(changes)
-  // under the state lock) and copy it out while holding only the observer
-  // mutex — repeated pollers no longer hold up the admission hot path for
-  // an O(platform) copy. Lock order: observer before state, nothing nests
-  // the other way.
-  const audit::LockGuard observer_lock(observer_mutex_);
-  {
-    const audit::LockGuard lock(state_mutex_);
-    state_.refresh_snapshot_into(observer_scratch_);
-  }
-  return observer_scratch_;
+  const audit::LockGuard lock(state_mutex_);
+  return state_;
 }
 
 double ConcurrentRuntimeManager::mean_occupancy() const {
@@ -912,13 +898,6 @@ AdmissionStats ConcurrentRuntimeManager::stats() const {
       1000.0;
   out.commit_time_us =
       static_cast<double>(commit_ns_.load(std::memory_order_relaxed)) / 1000.0;
-  {
-    const audit::LockGuard lock(state_mutex_);
-    const core::RefreshStats refresh = state_.refresh_stats();
-    out.snapshot_delta_refreshes = refresh.delta_refreshes;
-    out.snapshot_full_copies = refresh.full_copies;
-    out.journal_entries_replayed = refresh.entries_replayed;
-  }
   return out;
 }
 

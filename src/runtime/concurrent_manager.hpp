@@ -342,12 +342,9 @@ class ConcurrentRuntimeManager {
                            const core::ResourceState* planned_on = nullptr,
                            bool shape_hit = false);
 
-  /// Refreshes @p out from the live state under the state lock: deltas
-  /// since @p out's last sync are replayed from the state's journal
-  /// (O(changes)); a first sync, a journal wrap or a mutated @p out falls
-  /// back to a full copy-assign that still reuses @p out's vector
-  /// capacity. Arms @p out's version token, which validate_and_commit's
-  /// commit gate checks.
+  /// Copy-assigns the live state into @p out under the state lock (reusing
+  /// @p out's vector capacity, so a warm scratch does not allocate). Arms
+  /// @p out's sync token, which validate_and_commit's commit gate checks.
   void snapshot_state_into(core::ResourceState& out) const;
 
   /// snapshot_state_into + all tiles outside @p shard saturated.
@@ -428,19 +425,9 @@ class ConcurrentRuntimeManager {
   core::ResourceState state_ RTSM_GUARDED_BY(state_mutex_);
   std::map<AppId, RunningApp> running_ RTSM_GUARDED_BY(state_mutex_);
 
-  /// Observer-path snapshot buffer: state_snapshot() delta-refreshes this
-  /// scratch under the state lock and copies it out under observer_mutex_
-  /// only, so repeated observers cost O(changes) of state-lock hold time
-  /// instead of O(platform). Lock order: observer_mutex_ before
-  /// state_mutex_ (no other path takes both).
-  mutable audit::Mutex observer_mutex_{audit::LockRank::kManagerObserver,
-                                       "manager.observer"};
-  mutable core::ResourceState observer_scratch_
-      RTSM_GUARDED_BY(observer_mutex_);
-
   /// Inline-pump scratch: pump() reuses this buffer across calls (so the
-  /// workers == 0 mode delta-refreshes like a pool worker instead of
-  /// paying a cold full copy per pump). Try-locked; a second thread
+  /// workers == 0 mode copies into warm capacity like a pool worker
+  /// instead of allocating a cold snapshot per pump). Try-locked; a second thread
   /// pumping concurrently falls back to a local scratch. Outermost manager
   /// lock: held across whole admissions (which take every other lock).
   audit::Mutex pump_mutex_{audit::LockRank::kManagerPump, "manager.pump"};

@@ -52,10 +52,7 @@ DefragPassResult DefragPlanner::run_pass(
     std::uint32_t considered = 0;
     for (const auto& [id, run] : running) {
       if (considered++ >= options_.max_candidates) break;
-      if (!plan_scratch_.has_value()) {
-        plan_scratch_.emplace(state.platform());
-      }
-      state.refresh_snapshot_into(*plan_scratch_);
+      plan_scratch_ = state;  // copy-assign once warm: reuses capacity
       core::ResourceState& scratch = *plan_scratch_;
       core::release_mapping(scratch, *run.app, run.mapping);
 
@@ -67,11 +64,8 @@ DefragPassResult DefragPlanner::run_pass(
       }
       core::MappingResult plan;
       if (!maskable.empty()) {
-        if (!packed_scratch_.has_value()) {
-          packed_scratch_.emplace(state.platform());
-        }
+        packed_scratch_ = scratch;
         core::ResourceState& packed = *packed_scratch_;
-        packed = scratch;
         for (const TileId tid : maskable) packed.saturate_tile(tid);
         plan = mapper_->map(*run.app, packed);
       }

@@ -126,13 +126,11 @@ class DefragPlanner {
   std::shared_ptr<const core::Mapper> mapper_;
   DefragOptions options_;
 
-  /// Reusable candidate-snapshot buffers, lazily sized to the pass's
-  /// platform. Candidate evaluation mutates them (release + saturate +
-  /// commit), so each reuse is a full-copy refresh — the win is the
-  /// recycled vector capacity, not delta replay. Callers already
-  /// serialize passes (the manager runs them under its state lock), which
-  /// is what makes
-  /// these mutable members safe in the const run_pass().
+  /// Reusable candidate-snapshot buffers, copy-assigned per candidate so
+  /// each reuse recycles their vector capacity instead of allocating.
+  /// Callers already serialize passes (the manager runs them under its
+  /// state lock), which is what makes these mutable members safe in the
+  /// const run_pass().
   mutable std::optional<core::ResourceState> plan_scratch_;
   mutable std::optional<core::ResourceState> packed_scratch_;
 };

@@ -55,11 +55,7 @@ std::string StatsReport::to_json() const {
       << ",\"p95_us\":" << num(a.latency_percentile_us(95.0))
       << ",\"max_us\":" << num(a.latencies.max_us());
 
-  out << ",\"hot_path\":{\"snapshot_delta_refreshes\":"
-      << a.snapshot_delta_refreshes
-      << ",\"snapshot_full_copies\":" << a.snapshot_full_copies
-      << ",\"journal_entries_replayed\":" << a.journal_entries_replayed
-      << ",\"gated_commits\":" << a.gated_commits
+  out << ",\"hot_path\":{\"gated_commits\":" << a.gated_commits
       << ",\"validated_commits\":" << a.validated_commits
       << ",\"snapshot_time_us\":" << num(a.snapshot_time_us)
       << ",\"map_time_us\":" << num(a.map_time_us)
@@ -136,8 +132,8 @@ std::string StatsReport::to_json() const {
   for (std::size_t i = 0; i < release_errors.size(); ++i) {
     const ReleaseError& e = release_errors[i];
     if (i > 0) out << ",";
-    out << "{\"id\":" << e.id.value() << ",\"request\":" << e.request
-        << ",\"message\":\"" << escape(e.message) << "\"}";
+    out << "{\"id\":" << e.id.value() << ",\"message\":\""
+        << escape(e.message) << "\"}";
   }
   out << "]}";
   return out.str();

@@ -23,8 +23,8 @@ inline void require(bool condition, const std::string& message) {
 
 /// Literal-message overload: no std::string is materialized on the
 /// passing path. The resource-state mutators sit on the admission hot
-/// path (journal replay runs them thousands of times per second), where
-/// even an SSO construction per check is measurable.
+/// path (commits and mappers run them thousands of times per second),
+/// where even an SSO construction per check is measurable.
 inline void require(bool condition, const char* message) {
   if (!condition) throw Error(message);
 }

@@ -1,15 +1,16 @@
-// Admission hot path: delta-refresh snapshots, version-gated commits and
-// the shared NoC route cache. The central claims under test are exactness
-// claims, so — unlike the concurrent-manager suite — the refresh tests
-// compare states *bit for bit* through the public accessors instead of
-// approx_equals: refresh_snapshot_into() must reproduce a full copy, and a
-// cached route must reproduce the live search.
+// Admission hot path: allocation-free scratch snapshots, version-gated
+// commits and the shared NoC route cache. The central claims under test are
+// exactness claims, so — unlike the concurrent-manager suite — the snapshot
+// tests compare states *bit for bit* through the public accessors instead
+// of approx_equals, and a cached route must reproduce the live search.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <random>
 #include <thread>
 #include <vector>
@@ -22,6 +23,42 @@
 #include "noc/route_cache.hpp"
 #include "runtime/concurrent_manager.hpp"
 #include "test_helpers.hpp"
+
+namespace {
+
+/// Heap allocations made through the replaced global operator new below.
+std::atomic<std::uint64_t> g_heap_allocations{0};
+
+void* counted_allocate(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Replaced global allocation functions (non-aligned forms; the aligned ones
+// stay the runtime's and pair with its own deletes).
+void* operator new(std::size_t size) { return counted_allocate(size); }
+void* operator new[](std::size_t size) { return counted_allocate(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_allocate(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace rtsm::runtime {
 namespace {
@@ -39,10 +76,8 @@ std::shared_ptr<const kpn::Application> compute_app(std::uint32_t stages) {
 }
 
 /// Exact (bitwise, not approximate) equality of two residual states,
-/// observed through the public accessors. This is the contract of
-/// refresh_snapshot_into(): a delta-refreshed scratch replays the source's
-/// own mutation history through the same code paths, so even the
-/// floating-point sums must agree exactly.
+/// observed through the public accessors: a copy-assigned scratch must
+/// agree with its source even in the floating-point sums.
 void expect_bit_identical(const core::ResourceState& a,
                           const core::ResourceState& b) {
   ASSERT_EQ(&a.platform(), &b.platform());
@@ -61,10 +96,10 @@ void expect_bit_identical(const core::ResourceState& a,
   }
 }
 
-/// One random mutation of @p state drawn from all five journaled ops
-/// (tile reserve/release/saturate, link reserve/release). Reservations are
+/// One random mutation of @p state drawn from all five mutators (tile
+/// reserve/release/saturate, link reserve/release). Reservations are
 /// guarded by fits checks (reserve throws on over-booking); releases rely
-/// on the mutators' own clamping, which must replay identically.
+/// on the mutators' own clamping.
 void random_mutation(core::ResourceState& state, std::mt19937& rng) {
   const arch::Platform& platform = state.platform();
   const std::vector<TileId> tiles = platform.tile_ids();
@@ -95,91 +130,58 @@ void random_mutation(core::ResourceState& state, std::mt19937& rng) {
   }
 }
 
-// ------------------------------------------------- delta-refresh exactness --
+// ------------------------------------------------------ scratch snapshots --
 
-TEST(HotPathRefresh, DeltaRefreshIsBitIdenticalToFullCopy) {
-  // Property test: under a randomized mutation stream — including journal
-  // wraps — a refreshed scratch is indistinguishable from a fresh full
-  // copy, through every accessor, with exact float equality.
+TEST(HotPathSnapshot, SyncTokenSurvivesOnlyUntilEitherSideMutates) {
   const auto platform = test::small_platform();
   core::ResourceState live(platform);
-  live.enable_journal(48);  // small on purpose: bursts below wrap the ring
   core::ResourceState scratch(platform);
 
-  std::mt19937 rng(0x5eed);
-  std::uniform_int_distribution<int> gap(1, 7);
-  for (int round = 0; round < 400; ++round) {
-    // Mostly short gaps (delta path); every 25th round a burst longer than
-    // the journal capacity, forcing the full-copy fallback.
-    // A reserve op whose fits-guard failed is a no-op, so a round may
-    // leave the version untouched — that is fine, the refresh is then a
-    // zero-entry replay. Wrap bursts pair every random op with a release
-    // (which always journals, even when clamped) so the ring is
-    // guaranteed to wrap past the 48-entry capacity.
-    const bool wrap_burst = round % 25 == 24;
-    const int mutations = wrap_burst ? 50 : gap(rng);
-    for (int i = 0; i < mutations; ++i) {
-      random_mutation(live, rng);
-      if (wrap_burst) {
-        live.release_tile(platform.tile_ids()[i % platform.tile_count()],
-                          0.01, 16, 0);
-      }
-    }
-
-    live.refresh_snapshot_into(scratch);
-    ASSERT_TRUE(scratch.synced_with(live));
-
-    const core::ResourceState full = live.snapshot();
-    expect_bit_identical(scratch, full);
-    expect_bit_identical(scratch, live);
-  }
-
-  const core::RefreshStats stats = live.refresh_stats();
-  EXPECT_GT(stats.delta_refreshes, 300u) << "delta fast path barely taken";
-  // One full copy for the cold scratch plus one per wrap burst.
-  EXPECT_GE(stats.full_copies, 16u);
-  EXPECT_GT(stats.entries_replayed, 0u);
-}
-
-TEST(HotPathRefresh, MutatedScratchFallsBackToFullCopy) {
-  // A scratch that diverged locally (its token is dropped by its own
-  // mutation) must not be delta-patched — the journal describes the
-  // source's history, not the scratch's.
-  const auto platform = test::small_platform();
-  core::ResourceState live(platform);
-  live.enable_journal();
-  core::ResourceState scratch(platform);
-  live.refresh_snapshot_into(scratch);
-  const std::uint64_t full_copies = live.refresh_stats().full_copies;
-
-  scratch.reserve_tile(platform.tile_ids().front(), 0.5, 1024, 0);
-  EXPECT_FALSE(scratch.synced_with(live));
-
-  live.reserve_tile(platform.tile_ids().back(), 0.25, 512, 0);
-  live.refresh_snapshot_into(scratch);
-  EXPECT_EQ(live.refresh_stats().full_copies, full_copies + 1);
-  EXPECT_TRUE(scratch.synced_with(live));
-  expect_bit_identical(scratch, live.snapshot());
-}
-
-TEST(HotPathRefresh, SyncTokenSurvivesOnlyUntilEitherSideMutates) {
-  const auto platform = test::small_platform();
-  core::ResourceState live(platform);
-  live.enable_journal();
-  core::ResourceState scratch(platform);
-
-  live.refresh_snapshot_into(scratch);
+  scratch = live;
   EXPECT_TRUE(scratch.synced_with(live));
 
   // Source moves on: the token names a stale version.
   live.saturate_tile(platform.tile_ids().front());
   EXPECT_FALSE(scratch.synced_with(live));
 
-  // Delta refresh catches up and re-arms.
-  live.refresh_snapshot_into(scratch);
+  // A fresh copy catches up and re-arms.
+  scratch = live;
   EXPECT_TRUE(scratch.synced_with(live));
-  const core::RefreshStats stats = live.refresh_stats();
-  EXPECT_GE(stats.delta_refreshes, 1u);
+  expect_bit_identical(scratch, live);
+
+  // Scratch diverges locally (a mapper's trial booking): its own mutation
+  // drops the token even though the source did not move.
+  scratch.reserve_tile(platform.tile_ids().back(), 0.25, 512, 0);
+  EXPECT_FALSE(scratch.synced_with(live));
+
+  // Overwriting the source by assignment also moves its version.
+  scratch = live;
+  live = core::ResourceState(platform);
+  EXPECT_FALSE(scratch.synced_with(live));
+}
+
+TEST(HotPathSnapshot, WarmScratchCopyAssignDoesNotAllocate) {
+  // The managers keep one scratch per worker (and one for the inline pump)
+  // so that every snapshot after the first reuses the scratch's vector
+  // capacity: copy-assigning the live state must not touch the heap.
+  const auto platform = test::small_platform();
+  core::ResourceState live(platform);
+  core::ResourceState scratch(platform);
+  std::mt19937 rng(0x5eed);
+  for (int i = 0; i < 20; ++i) random_mutation(live, rng);
+  scratch = live;  // first copy: warms the scratch
+
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 5; ++i) random_mutation(live, rng);
+    const std::uint64_t before =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    scratch = live;
+    const std::uint64_t after =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    ASSERT_EQ(after - before, 0u) << "warm copy-assign allocated";
+    ASSERT_TRUE(scratch.synced_with(live));
+    expect_bit_identical(scratch, live);
+  }
 }
 
 // --------------------------------------------------- version-gated commits --
@@ -275,7 +277,7 @@ TEST(HotPathGate, CommittedMappingsAlwaysFitASerialReplay) {
 
 // ------------------------------------------------- 8-thread churn (TSan) --
 
-TEST(HotPathStress, EightThreadChurnDeltaRefreshesAndStaysCoherent) {
+TEST(HotPathStress, EightThreadChurnStaysCoherent) {
   // The hot path under real contention: 8 client threads admitting and
   // releasing against a 4-worker pool while observers poll state_snapshot()
   // and stats(). Run under TSan in CI; the oracle is a serial replay.
@@ -326,8 +328,6 @@ TEST(HotPathStress, EightThreadChurnDeltaRefreshesAndStaysCoherent) {
   const AdmissionStats stats = manager.stats();
   EXPECT_EQ(stats.offered, 96u);
   EXPECT_GT(stats.admitted, 0u);
-  EXPECT_GT(stats.snapshot_delta_refreshes, 0u)
-      << "worker scratches never took the delta fast path";
   EXPECT_EQ(stats.gated_commits + stats.validated_commits, stats.admitted);
   EXPECT_GT(stats.snapshot_time_us + stats.map_time_us + stats.commit_time_us,
             0.0);

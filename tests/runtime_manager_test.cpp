@@ -11,6 +11,7 @@
 
 #include "core/spatial_mapper.hpp"
 #include "runtime/concurrent_manager.hpp"
+#include "runtime/stats_report.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -393,6 +394,15 @@ TEST(SerialMode, ReleaseUnknownIdIsRecordedNotThrown) {
   const auto errors = manager.drain_release_errors();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].id, AppId{99});
+
+  // The JSON report names the failed release by its app id only.
+  EXPECT_FALSE(manager.release(AppId{5}));
+  const std::string json = manager.stats_report().to_json();
+  const std::string::size_type entry = json.find("\"release_errors\":[{");
+  ASSERT_NE(entry, std::string::npos) << json;
+  const std::string errors_json = json.substr(entry);
+  EXPECT_NE(errors_json.find("{\"id\":5,"), std::string::npos) << json;
+  EXPECT_EQ(errors_json.find("\"request\""), std::string::npos) << json;
 }
 
 TEST(SerialMode, IdsAreUniqueAcrossRestarts) {
